@@ -1,15 +1,12 @@
 //! APPROX_MATH — raw transcendental calls in hot-path files.
 //!
-//! PR 9 concentrates every hot-loop exponential behind the vetted
-//! `cqm-math::fastexp` entry points: `exp_exact` (bit-identical to
-//! `f64::exp`, the default) and `exp_bounded` (the ≤ `EXP_BOUNDED_MAX_ULP`
-//! polynomial path, opt-in via `EvalPrecision::BoundedUlp`). That funnel is
+//! Every hot-loop exponential goes through the vetted `cqm-math::fastexp`
+//! entry point `exp_exact` (bit-identical to `f64::exp`). That funnel is
 //! what makes the precision contract auditable — a reviewer can read one
-//! module and know every approximation the evaluation pipeline is capable
-//! of. A bare `.exp()` or `.powf()` sprinkled into a kernel later silently
-//! widens that surface: it either misses the fast path (perf regression the
-//! benches may not isolate) or, worse, gets "optimised" ad hoc without the
-//! ULP sweep backing the bounded tier.
+//! module and know every transcendental the evaluation pipeline runs. A
+//! bare `.exp()` or `.powf()` sprinkled into a kernel later silently widens
+//! that surface: it gets "optimised" ad hoc without anything proving the
+//! kernels still match their scalar reference bit for bit.
 //!
 //! Like [`HOT_LOOP_ALLOC`](super::HotLoopAlloc), the pass is opt-in per
 //! file: it only runs on files carrying the `// analyze: hot-path` marker
@@ -30,11 +27,10 @@ const ID: &str = "APPROX_MATH";
 /// with the entry point the finding should steer the author toward.
 ///
 /// The leading `.` plus trailing `(` keeps the match to actual method
-/// calls: `fastexp::exp_exact(x)` and `F64x4::exp_bounded` contain the
-/// substring `exp` but never `.exp(`.
+/// calls: `fastexp::exp_exact(x)` contains the substring `exp` but never
+/// `.exp(`.
 const RAW_CALLS: &[(&str, &str)] = &[
-    (".exp(", "cqm_math::fastexp::exp_exact (or exp_bounded on a declared \
-               `EvalPrecision::BoundedUlp` path)"),
+    (".exp(", "cqm_math::fastexp::exp_exact"),
     (".powf(", "cqm_math (powi, ln_checked, or a precomputed table)"),
 ];
 

@@ -1,11 +1,11 @@
-//! PERFBASE — the performance baseline harness (PR 4, extended in PR 9).
+//! PERFBASE — the performance baseline harness.
 //!
-//! Times the six hot paths (subtractive clustering, ANFIS training,
-//! single-sample FIS evaluation, batch FIS evaluation, the rule-major
-//! blocked batch kernel, and the bounded-ULP SIMD batch kernel) serially
-//! and — where pooling applies — on worker pools of 1/2/4/8 threads,
-//! asserts serial/parallel bit-identity on the way, and writes the results
-//! as `BENCH_PR9.json` (schema `cqm-bench/perfbase/v2`, documented in
+//! Times the five hot paths (subtractive clustering, ANFIS training,
+//! single-sample FIS evaluation, batch FIS evaluation, and the rule-major
+//! blocked batch kernel) serially and — where pooling applies — on worker
+//! pools of 1/2/4/8 threads, asserts serial/parallel and blocked/row-wise
+//! bit-identity on the way, and writes the results as
+//! `BENCH_PERFBASE.json` (schema `cqm-bench/perfbase/v3`, documented in
 //! `cqm_bench::perf`).
 //!
 //! ```sh
@@ -13,18 +13,16 @@
 //! cargo run --release -p cqm-bench --bin perfbase -- --smoke # CI gate
 //! cargo run --release -p cqm-bench --bin perfbase -- --out /tmp/perf.json
 //! cargo run --release -p cqm-bench --bin perfbase -- \
-//!     --section eval_batch_simd --section eval_batch_blocked
+//!     --section eval_batch_blocked
 //! ```
 //!
-//! `--smoke` shrinks the workloads to CI size and applies the two-part
-//! performance gate (`PerfBaseline::gate`): the single-thread SIMD gate
-//! (bounded-ULP blocked batch ≥ 1.8× the scalar baseline, core-count
-//! immune) always applies; the clustering thread-scaling gate is
-//! core-aware, and on a 1-core container it is **skipped with a loud
+//! `--smoke` shrinks the workloads to CI size and applies the performance
+//! gate (`PerfBaseline::gate`): the clustering thread-scaling gate, which
+//! is core-aware, and on a 1-core container is **skipped with a loud
 //! warning** instead of pretending time-sliced numbers mean anything.
 //!
 //! `--section NAME` (repeatable) restricts the run to the named sections so
-//! the simd/blocking kernels can be iterated on without re-running the
+//! the blocked kernel can be iterated on without re-running the
 //! clustering/ANFIS workloads. A partial baseline is still written to
 //! `--out`, but schema validation and the gate are skipped (with a notice)
 //! because required sections are absent by construction.
@@ -39,8 +37,7 @@ use cqm_bench::perf::{
     SECTION_NAMES, THREAD_COUNTS,
 };
 use cqm_cluster::subtractive::{SubtractiveClustering, SubtractiveParams};
-use cqm_fuzzy::{EvalPrecision, MembershipFunction, TskFis, TskRule};
-use cqm_math::fastexp::ulp_diff;
+use cqm_fuzzy::{MembershipFunction, TskFis, TskRule};
 use cqm_parallel::WorkerPool;
 
 /// Deterministic synthetic points: a plain LCG so the workload is identical
@@ -258,20 +255,9 @@ fn synth_gaussian_fis(rules: usize, dim: usize, seed: u64) -> TskFis {
     TskFis::new((0..rules).map(|_| rule(&mut rng)).collect()).expect("valid fis")
 }
 
-/// Row-wise exact outputs of `kernel` over `inputs` — the scalar baseline
-/// both blocked sections compare and race against.
-fn rowwise_exact(fis: &TskFis, inputs: &[Vec<f64>]) -> Vec<f64> {
-    let kernel = fis.kernel();
-    let mut scratch = kernel.scratch();
-    inputs
-        .iter()
-        .map(|v| kernel.eval_into(v, &mut scratch).expect("eval"))
-        .collect()
-}
-
-/// Rule-major blocked batch kernel at default (bit-identical) precision vs
-/// the row-wise scalar loop. Same math, same bits — the speedup isolates
-/// what rule-major blocking and lane-structured loads buy on their own.
+/// Rule-major blocked batch kernel vs the row-wise scalar loop. Same math,
+/// same bits — the speedup isolates what rule-major blocking and
+/// lane-structured loads buy on their own.
 fn section_eval_batch_blocked(smoke: bool, reps: usize) -> Section {
     let n = if smoke { 1000 } else { 5000 };
     let fis = &synth_gaussian_fis(16, 4, 0x9B);
@@ -282,8 +268,11 @@ fn section_eval_batch_blocked(smoke: bool, reps: usize) -> Section {
     let kernel = fis.kernel();
     assert!(kernel.is_gaussian_only(), "trained FIS must be Gaussian-only");
 
-    let reference = rowwise_exact(fis, &inputs);
     let mut scratch = kernel.scratch();
+    let reference: Vec<f64> = inputs
+        .iter()
+        .map(|v| kernel.eval_into(v, &mut scratch).expect("eval"))
+        .collect();
     let serial_millis = time_best(reps, || {
         let mut acc = 0.0f64;
         for v in &inputs {
@@ -296,7 +285,7 @@ fn section_eval_batch_blocked(smoke: bool, reps: usize) -> Section {
     kernel
         .eval_batch_into(&inputs, &mut scratch, &mut out)
         .expect("blocked batch eval");
-    // The default-precision contract: blocked bits == row-wise bits.
+    // The kernel's contract: blocked bits == row-wise bits.
     for (i, (a, b)) in out.iter().zip(&reference).enumerate() {
         assert_eq!(a.to_bits(), b.to_bits(), "blocked row {i} diverged");
     }
@@ -320,71 +309,6 @@ fn section_eval_batch_blocked(smoke: bool, reps: usize) -> Section {
     }
 }
 
-/// Bounded-ULP SIMD batch kernel (`EvalPrecision::BoundedUlp`: rule-major
-/// blocking + f64x4 lanes + the polynomial fast exp) vs the same row-wise
-/// exact baseline. The max observed output ULP distance from exact is
-/// recorded in the workload string and sanity-bounded here; the tight
-/// per-call primitive bound lives in `cqm-math::fastexp` and its tests.
-fn section_eval_batch_simd(smoke: bool, reps: usize) -> Section {
-    let n = if smoke { 1000 } else { 5000 };
-    let fis = &synth_gaussian_fis(16, 4, 0x9B);
-    let inputs = synth_points(n, fis.input_dim(), 0xB7)
-        .into_iter()
-        .map(|v| v.into_iter().map(|x| x * 0.4).collect::<Vec<f64>>())
-        .collect::<Vec<_>>();
-    let kernel = fis.kernel();
-    assert!(kernel.is_gaussian_only(), "trained FIS must be Gaussian-only");
-
-    let reference = rowwise_exact(fis, &inputs);
-    let mut scratch = kernel.scratch();
-    let serial_millis = time_best(reps, || {
-        let mut acc = 0.0f64;
-        for v in &inputs {
-            acc += kernel.eval_into(v, &mut scratch).expect("eval");
-        }
-        assert!(acc.is_finite());
-    });
-
-    let mut out = Vec::with_capacity(n);
-    kernel
-        .eval_batch_into_prec(&inputs, EvalPrecision::BoundedUlp, &mut scratch, &mut out)
-        .expect("bounded batch eval");
-    let max_ulp = out
-        .iter()
-        .zip(&reference)
-        .map(|(a, b)| ulp_diff(*a, *b))
-        .max()
-        .unwrap_or(0);
-    // Generous sanity ceiling only: the tight, asserted bounds live in the
-    // tests (<= 2 ULP per exp primitive, <= 256 output ULP on the
-    // well-conditioned kernel testbed). Output ULP here is workload-
-    // conditioned — rows whose defuzzified output lands near zero turn a
-    // tiny fixed absolute error into a large ULP distance — so this guard
-    // only catches a broken fast path, not normal conditioning.
-    assert!(
-        max_ulp <= 1 << 17,
-        "bounded outputs drifted {max_ulp} ULP from exact"
-    );
-    let simd_millis = time_best(reps, || {
-        kernel
-            .eval_batch_into_prec(&inputs, EvalPrecision::BoundedUlp, &mut scratch, &mut out)
-            .expect("bounded batch eval");
-    });
-    Section {
-        name: "eval_batch_simd".into(),
-        workload: format!(
-            "bounded-ULP simd batch, n={n} rows, {} rules, dim={}, max observed output ULP {max_ulp}",
-            fis.rules().len(),
-            fis.input_dim()
-        ),
-        serial_millis,
-        threaded: vec![ThreadTiming {
-            threads: 1,
-            millis: simd_millis,
-        }],
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
@@ -397,7 +321,7 @@ fn main() -> ExitCode {
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1))
         .cloned()
-        .unwrap_or_else(|| "BENCH_PR9.json".to_string());
+        .unwrap_or_else(|| "BENCH_PERFBASE.json".to_string());
     let mut selected: Vec<String> = Vec::new();
     for (i, a) in args.iter().enumerate() {
         if a == "--section" {
@@ -487,10 +411,6 @@ fn main() -> ExitCode {
         progress("blocked exact batch eval");
         sections.push(section_eval_batch_blocked(smoke, reps));
     }
-    if want("eval_batch_simd") {
-        progress("bounded-ULP simd batch eval");
-        sections.push(section_eval_batch_simd(smoke, reps));
-    }
 
     let baseline = PerfBaseline {
         schema: SCHEMA.to_string(),
@@ -527,12 +447,6 @@ fn main() -> ExitCode {
     {
         println!("blocked exact batch speedup (single thread): {speedup:.2}x");
     }
-    if let Some(speedup) = baseline
-        .section("eval_batch_simd")
-        .and_then(|s| s.speedup_at(1))
-    {
-        println!("bounded-ULP simd batch speedup (single thread): {speedup:.2}x");
-    }
 
     let json = serde_json::to_string_pretty(&baseline).expect("serialize baseline");
     std::fs::write(&out_path, &json).expect("write baseline file");
@@ -563,9 +477,8 @@ fn main() -> ExitCode {
 
     if smoke {
         match parsed.gate() {
-            Ok(GateOutcome::Passed) => println!("perf gate: ok (simd + thread scaling)"),
+            Ok(GateOutcome::Passed) => println!("perf gate: ok (thread scaling)"),
             Ok(GateOutcome::ThreadGateSkipped { cores }) => {
-                println!("perf gate: simd ok");
                 println!(
                     "perfbase: WARNING: thread-scaling gate SKIPPED — baseline \
                      taken on {cores} core(s); multi-thread numbers in this file \
@@ -585,7 +498,7 @@ fn print_usage() {
     println!(
         "usage: perfbase [--smoke] [--out FILE] [--section NAME]...\n\n\
          --smoke          CI-sized workloads + the perf gate\n\
-         --out FILE       output path (default BENCH_PR9.json)\n\
+         --out FILE       output path (default BENCH_PERFBASE.json)\n\
          --section NAME   run only the named section(s); repeatable.\n\
          \x20                valid: {}\n\
          \x20                partial runs skip schema validation and the gate",

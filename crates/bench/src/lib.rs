@@ -16,8 +16,9 @@
 //! | `ablation_cluster` | subtractive vs mountain structure identification |
 //! | `ablation_hybrid` | hybrid learning vs pure LSE initialisation |
 //!
-//! Criterion benches (`cargo bench -p cqm-bench`) back the paper's
-//! "real-time" claim with FIS-evaluation and end-to-end latencies.
+//! The `perfbase` binary ([`perf`]) backs the paper's "real-time" claim
+//! with FIS-evaluation and training timings; the served path is timed end
+//! to end and per layer by the repository benchmark under `perfbench/`.
 
 // lint: allow(PANIC_IN_LIB, file) -- experiment driver: abort loudly on setup failure instead of degrading
 

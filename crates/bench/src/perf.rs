@@ -1,16 +1,16 @@
 //! Performance baseline harness behind the `perfbase` binary.
 //!
-//! Times the six hot paths of the runtime — subtractive clustering, one
-//! ANFIS training run, single-sample FIS evaluation, batch FIS evaluation,
-//! the blocked exact batch kernel, and the bounded-ULP SIMD batch kernel —
-//! serial and (where pooling applies) on worker pools of 1/2/4/8 threads,
-//! and writes the results as `BENCH_PR9.json`.
+//! Times the five hot paths of the runtime — subtractive clustering, one
+//! ANFIS training run, single-sample FIS evaluation, batch FIS evaluation
+//! and the blocked batch kernel — serial and (where pooling applies) on
+//! worker pools of 1/2/4/8 threads, and writes the results as
+//! `BENCH_PERFBASE.json`.
 //!
-//! # `BENCH_PR9.json` schema (`cqm-bench/perfbase/v2`)
+//! # Baseline schema (`cqm-bench/perfbase/v3`)
 //!
 //! ```json
 //! {
-//!   "schema": "cqm-bench/perfbase/v2",
+//!   "schema": "cqm-bench/perfbase/v3",
 //!   "smoke": false,
 //!   "available_parallelism": 8,
 //!   "sections": [
@@ -35,21 +35,17 @@
 //!   numbers were taken; timings from a 1-core container show ≈1.0×
 //!   "speedups" by construction and must be read alongside this field.
 //! * `sections[*].name` — one of `clustering`, `anfis_epoch`,
-//!   `eval_single`, `eval_batch`, `eval_batch_blocked`, `eval_batch_simd`
-//!   (all six required; v2 added the last two).
+//!   `eval_single`, `eval_batch`, `eval_batch_blocked` (all five required).
 //! * `sections[*].serial_millis` — wall-clock milliseconds of the plain
 //!   serial API (`cluster`, `train_hybrid`, `eval`, `eval_batch`).
 //! * `sections[*].threaded` — wall-clock milliseconds of the pooled API at
 //!   each thread count; `clustering`, `anfis_epoch` and `eval_batch` carry
 //!   all of 1/2/4/8, while the single-thread sections carry one
 //!   `threads: 1` entry each: `eval_single` times the allocation-free
-//!   kernel path, `eval_batch_blocked` times the rule-major blocked kernel
-//!   at default (bit-identical) precision against a row-wise serial
-//!   baseline, and `eval_batch_simd` times the blocked kernel under
-//!   `EvalPrecision::BoundedUlp` (lane-unrolled fast-exp path) against the
-//!   same row-wise exact baseline. The latter two are per-core throughput
-//!   measurements, so their `serial / t1` speedups are meaningful on any
-//!   machine, 1-core CI containers included.
+//!   kernel path, and `eval_batch_blocked` times the rule-major blocked
+//!   kernel (bit-identical to row-wise) against a row-wise serial
+//!   baseline — a per-core throughput measurement, so its `serial / t1`
+//!   speedup is meaningful on any machine, 1-core CI containers included.
 //!
 //! Every pooled path is bit-identical to its serial counterpart at any
 //! thread count (the property the runtime is built around), so timings on
@@ -60,31 +56,24 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
-/// Schema identifier written to and expected in `BENCH_PR9.json`.
-pub const SCHEMA: &str = "cqm-bench/perfbase/v2";
+/// Schema identifier written to and expected in the baseline JSON.
+pub const SCHEMA: &str = "cqm-bench/perfbase/v3";
 
 /// Thread counts every multi-threaded section must cover.
 pub const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// Section names that must be present in a valid baseline.
-pub const SECTION_NAMES: [&str; 6] = [
+pub const SECTION_NAMES: [&str; 5] = [
     "clustering",
     "anfis_epoch",
     "eval_single",
     "eval_batch",
     "eval_batch_blocked",
-    "eval_batch_simd",
 ];
 
 /// Sections that carry a single `threads: 1` timing instead of the full
 /// 1/2/4/8 ladder (single-sample or per-core throughput measurements).
-pub const SINGLE_THREAD_SECTIONS: [&str; 3] =
-    ["eval_single", "eval_batch_blocked", "eval_batch_simd"];
-
-/// Minimum `serial / t1` speedup the bounded-ULP SIMD batch path must show
-/// over the row-wise scalar baseline. Both sides are single-threaded, so
-/// the gate is immune to the container's core count.
-pub const SIMD_MIN_SPEEDUP: f64 = 1.8;
+pub const SINGLE_THREAD_SECTIONS: [&str; 2] = ["eval_single", "eval_batch_blocked"];
 
 /// Wall-clock timing of one pooled run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -123,7 +112,7 @@ impl Section {
     }
 }
 
-/// The complete `BENCH_PR4.json` document.
+/// The complete baseline document.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PerfBaseline {
     /// Schema identifier ([`SCHEMA`]).
@@ -192,16 +181,9 @@ impl PerfBaseline {
         Ok(())
     }
 
-    /// The CI performance gate, in two halves.
-    ///
-    /// **SIMD gate** (always applied): the bounded-ULP blocked batch path
-    /// must be at least [`SIMD_MIN_SPEEDUP`]× faster than the row-wise
-    /// scalar baseline. Both measurements are single-threaded, so the gate
-    /// holds on a 1-core container exactly as it does on a workstation.
-    ///
-    /// **Thread-scaling gate**: the pooled clustering path at 4 threads
-    /// must not be slower than the serial path. The tolerance is
-    /// core-aware — with at least 4 cores the pool must genuinely win
+    /// The CI performance gate: thread scaling. The pooled clustering path
+    /// at 4 threads must not be slower than the serial path. The tolerance
+    /// is core-aware — with at least 4 cores the pool must genuinely win
     /// (ratio ≤ 1.0 with a small noise margin); on 2–3 cores only bounded
     /// dispatch overhead is accepted. On a **single core** the gate is
     /// skipped entirely and [`GateOutcome::ThreadGateSkipped`] is returned
@@ -213,22 +195,6 @@ impl PerfBaseline {
     ///
     /// Returns a human-readable description of the first violation.
     pub fn gate(&self) -> Result<GateOutcome, String> {
-        let simd = self
-            .section("eval_batch_simd")
-            .ok_or_else(|| "missing eval_batch_simd section".to_string())?;
-        let speedup = simd
-            .speedup_at(1)
-            .ok_or_else(|| "eval_batch_simd: no 1-thread timing".to_string())?;
-        if speedup < SIMD_MIN_SPEEDUP {
-            return Err(format!(
-                "bounded-ULP SIMD batch path is only {speedup:.2}x the scalar \
-                 baseline (gate {SIMD_MIN_SPEEDUP:.1}x): serial {:.2} ms vs \
-                 blocked t1 {:.2} ms",
-                simd.serial_millis,
-                simd.millis_at(1).unwrap_or(f64::NAN)
-            ));
-        }
-
         let section = self
             .section("clustering")
             .ok_or_else(|| "missing clustering section".to_string())?;
@@ -262,11 +228,11 @@ impl PerfBaseline {
 /// What [`PerfBaseline::gate`] concluded when no limit was violated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GateOutcome {
-    /// Both the SIMD gate and the thread-scaling gate were applied and held.
+    /// The thread-scaling gate was applied and held.
     Passed,
-    /// The SIMD gate held, but the thread-scaling gate was skipped because
-    /// the baseline was taken on a single core — the caller must surface
-    /// this loudly, because 4-thread timings from one core are meaningless.
+    /// The thread-scaling gate was skipped because the baseline was taken
+    /// on a single core — the caller must surface this loudly, because
+    /// 4-thread timings from one core are meaningless.
     ThreadGateSkipped {
         /// Cores visible when the baseline was taken (always 1 today).
         cores: usize,
@@ -308,10 +274,6 @@ mod tests {
     }
 
     fn baseline(cores: usize, clustering_t4: f64) -> PerfBaseline {
-        baseline_with_simd(cores, clustering_t4, 2.0)
-    }
-
-    fn baseline_with_simd(cores: usize, clustering_t4: f64, simd_speedup: f64) -> PerfBaseline {
         let full = |name: &str, t4: f64| Section {
             name: name.into(),
             workload: "test".into(),
@@ -334,7 +296,6 @@ mod tests {
                 single("eval_single", 1.0, 0.8),
                 full("eval_batch", 100.0),
                 single("eval_batch_blocked", 100.0, 90.0),
-                single("eval_batch_simd", 100.0, 100.0 / simd_speedup),
             ],
         }
     }
@@ -387,25 +348,7 @@ mod tests {
     }
 
     #[test]
-    fn simd_gate_is_core_count_immune() {
-        // The SIMD gate compares two single-threaded timings, so it is
-        // applied even where the thread gate is skipped.
-        let err = baseline_with_simd(1, 100.0, 1.2).gate().unwrap_err();
-        assert!(err.contains("1.8"), "{err}");
-        assert!(baseline_with_simd(8, 100.0, 1.2).gate().is_err());
-        // Exactly at the gate passes.
-        assert_eq!(
-            baseline_with_simd(8, 100.0, SIMD_MIN_SPEEDUP).gate().unwrap(),
-            GateOutcome::Passed
-        );
-    }
-
-    #[test]
-    fn validation_requires_the_v2_sections() {
-        let mut b = baseline(1, 100.0);
-        b.sections.retain(|s| s.name != "eval_batch_simd");
-        assert!(b.validate().unwrap_err().contains("eval_batch_simd"));
-
+    fn validation_requires_the_blocked_section() {
         let mut b = baseline(1, 100.0);
         b.sections.retain(|s| s.name != "eval_batch_blocked");
         assert!(b.validate().unwrap_err().contains("eval_batch_blocked"));

@@ -9,9 +9,9 @@
 use cqm_anfis::dataset::Dataset;
 use cqm_anfis::genfis::{genfis, GenfisParams};
 use cqm_anfis::hybrid::{train_hybrid, HybridConfig};
-use cqm_core::classifier::{ClassId, Classifier};
+use cqm_core::classifier::{check_cue_vector, ClassId, Classifier};
 use cqm_core::CqmError;
-use cqm_fuzzy::{EvalPrecision, TskFis, TskKernel, TskScratch};
+use cqm_fuzzy::{TskFis, TskKernel, TskScratch};
 use serde::{Deserialize, Serialize};
 
 use crate::dataset::ClassifiedDataset;
@@ -176,19 +176,7 @@ impl ClassifierKernel {
     }
 
     fn check_cues(&self, cues: &[f64]) -> cqm_core::Result<()> {
-        if cues.len() != self.kernel.input_dim() {
-            return Err(CqmError::InvalidInput(format!(
-                "cue vector has {} entries, classifier expects {}",
-                cues.len(),
-                self.kernel.input_dim()
-            )));
-        }
-        if cues.iter().any(|x| !x.is_finite()) {
-            return Err(CqmError::InvalidInput(
-                "cue vector contains non-finite values".into(),
-            ));
-        }
-        Ok(())
+        check_cue_vector(cues, self.kernel.input_dim(), "classifier")
     }
 
     fn round_class(&self, raw: f64) -> ClassId {
@@ -206,28 +194,10 @@ impl ClassifierKernel {
         cues: &[f64],
         scratch: &mut TskScratch,
     ) -> cqm_core::Result<ClassId> {
-        self.classify_into_prec(cues, EvalPrecision::Exact, scratch)
-    }
-
-    /// [`ClassifierKernel::classify_into`] under an explicit precision
-    /// contract (see [`EvalPrecision`]): the default is bit-identical to
-    /// [`Classifier::classify`]; [`EvalPrecision::BoundedUlp`] evaluates
-    /// the underlying FIS through the bounded fast-`exp` path before the
-    /// same rounding.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Classifier::classify`] on [`FisClassifier`].
-    pub fn classify_into_prec(
-        &self,
-        cues: &[f64],
-        precision: EvalPrecision,
-        scratch: &mut TskScratch,
-    ) -> cqm_core::Result<ClassId> {
         self.check_cues(cues)?;
         let raw = self
             .kernel
-            .eval_into_prec(cues, precision, scratch)
+            .eval_into(cues, scratch)
             .map_err(CqmError::Fuzzy)?;
         Ok(self.round_class(raw))
     }
@@ -256,33 +226,12 @@ impl ClassifierKernel {
         raw_buf: &mut Vec<f64>,
         out: &mut Vec<ClassId>,
     ) -> cqm_core::Result<()> {
-        self.classify_batch_into_prec(rows, EvalPrecision::Exact, scratch, raw_buf, out)
-    }
-
-    /// [`ClassifierKernel::classify_batch_into`] under an explicit
-    /// precision contract. The blocked rule-major sweep underneath makes
-    /// both precisions batch-position independent: each row's class is
-    /// bit-identical to a row-wise [`ClassifierKernel::classify_into_prec`]
-    /// at the same precision.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ClassifierKernel::classify_into`] for any row;
-    /// `out` holds the classes of the rows preceding the failure.
-    pub fn classify_batch_into_prec(
-        &self,
-        rows: &[Vec<f64>],
-        precision: EvalPrecision,
-        scratch: &mut TskScratch,
-        raw_buf: &mut Vec<f64>,
-        out: &mut Vec<ClassId>,
-    ) -> cqm_core::Result<()> {
         out.clear();
         for row in rows {
             self.check_cues(row)?;
         }
         self.kernel
-            .eval_batch_into_prec(rows, precision, scratch, raw_buf)
+            .eval_batch_into(rows, scratch, raw_buf)
             .map_err(CqmError::Fuzzy)?;
         out.reserve_exact(raw_buf.len());
         for &raw in raw_buf.iter() {
@@ -415,38 +364,6 @@ mod tests {
             .classify_batch_into(&bad, &mut scratch, &mut raw_buf, &mut classes)
             .is_err());
         assert!(classes.is_empty());
-    }
-
-    #[test]
-    fn kernel_bounded_precision_batch_matches_row_wise() {
-        let data = three_band_data(150);
-        let clf = FisClassifier::train(&data, &FisClassifierConfig::default()).unwrap();
-        let kernel = clf.kernel();
-        let mut scratch = kernel.scratch();
-        let rows: Vec<Vec<f64>> = (0..41).map(|i| vec![3.0 * i as f64 / 41.0]).collect();
-        let mut raw_buf = Vec::new();
-        let mut classes = Vec::new();
-        kernel
-            .classify_batch_into_prec(
-                &rows,
-                EvalPrecision::BoundedUlp,
-                &mut scratch,
-                &mut raw_buf,
-                &mut classes,
-            )
-            .unwrap();
-        assert_eq!(classes.len(), rows.len());
-        let mut row_scratch = TskScratch::new();
-        for (row, &class) in rows.iter().zip(classes.iter()) {
-            let want = kernel
-                .classify_into_prec(row, EvalPrecision::BoundedUlp, &mut row_scratch)
-                .unwrap();
-            assert_eq!(class, want, "row {row:?}");
-            // On this well-separated testbed a sub-ULP change in the raw
-            // output never crosses a rounding boundary: bounded and exact
-            // classes agree everywhere.
-            assert_eq!(class, clf.classify(row).unwrap(), "row {row:?}");
-        }
     }
 
     #[test]

@@ -61,20 +61,32 @@ pub trait Classifier: Send + Sync {
     /// Returns [`CqmError::InvalidInput`] on dimension mismatch or
     /// non-finite values.
     fn check_cues(&self, cues: &[f64]) -> Result<()> {
-        if cues.len() != self.cue_dim() {
-            return Err(CqmError::InvalidInput(format!(
-                "cue vector has {} entries, classifier expects {}",
-                cues.len(),
-                self.cue_dim()
-            )));
-        }
-        if cues.iter().any(|x| !x.is_finite()) {
-            return Err(CqmError::InvalidInput(
-                "cue vector contains non-finite values".into(),
-            ));
-        }
-        Ok(())
+        check_cue_vector(cues, self.cue_dim(), "classifier")
     }
+}
+
+/// The one cue-vector check behind every classifier and quality measure,
+/// reference and kernel paths alike: exactly `expected` entries, all
+/// finite. `consumer` names the checking component in the error text.
+///
+/// # Errors
+///
+/// Returns [`CqmError::InvalidInput`] on dimension mismatch or non-finite
+/// values.
+#[inline]
+pub fn check_cue_vector(cues: &[f64], expected: usize, consumer: &str) -> Result<()> {
+    if cues.len() != expected {
+        return Err(CqmError::InvalidInput(format!(
+            "cue vector has {} entries, {consumer} expects {expected}",
+            cues.len()
+        )));
+    }
+    if cues.iter().any(|x| !x.is_finite()) {
+        return Err(CqmError::InvalidInput(
+            "cue vector contains non-finite values".into(),
+        ));
+    }
+    Ok(())
 }
 
 /// Blanket implementation so `Box<dyn Classifier>` is itself a classifier.
@@ -136,6 +148,27 @@ mod tests {
         assert!(c.check_cues(&[0.3]).is_ok());
         assert!(c.check_cues(&[0.3, 0.4]).is_err());
         assert!(c.check_cues(&[f64::NAN]).is_err());
+    }
+
+    #[test]
+    fn cue_vector_errors_name_their_consumer() {
+        let message = |r: Result<()>| match r {
+            Err(CqmError::InvalidInput(m)) => m,
+            other => panic!("expected InvalidInput, got {other:?}"),
+        };
+        assert_eq!(
+            message(check_cue_vector(&[0.3, 0.4], 1, "classifier")),
+            "cue vector has 2 entries, classifier expects 1"
+        );
+        assert_eq!(
+            message(check_cue_vector(&[0.3], 3, "quality measure")),
+            "cue vector has 1 entries, quality measure expects 3"
+        );
+        assert_eq!(
+            message(check_cue_vector(&[f64::INFINITY], 1, "classifier")),
+            "cue vector contains non-finite values"
+        );
+        assert!(check_cue_vector(&[0.3], 1, "classifier").is_ok());
     }
 
     #[test]

@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 
 use cqm_fuzzy::{TskFis, TskKernel, TskScratch};
 
-use crate::classifier::ClassId;
+use crate::classifier::{check_cue_vector, ClassId};
 use crate::normalize::{normalize, Quality};
 use crate::{CqmError, Result};
 
@@ -72,19 +72,9 @@ impl QualityMeasure {
     ///   cues.
     /// * [`CqmError::Fuzzy`] if no rule fires (input far outside the
     ///   training support).
+    // lint: allow(ASSERT_DENSITY) -- cue validation lives in check_cue_vector, which rejects bad input via Result
     pub fn raw(&self, cues: &[f64], class: ClassId) -> Result<f64> {
-        if cues.len() != self.cue_dim() {
-            return Err(CqmError::InvalidInput(format!(
-                "cue vector has {} entries, quality measure expects {}",
-                cues.len(),
-                self.cue_dim()
-            )));
-        }
-        if cues.iter().any(|x| !x.is_finite()) {
-            return Err(CqmError::InvalidInput(
-                "cue vector contains non-finite values".into(),
-            ));
-        }
+        check_cue_vector(cues, self.cue_dim(), "quality measure")?;
         let v = self.joint_input(cues, class);
         Ok(self.fis.eval(&v)?)
     }
@@ -99,19 +89,9 @@ impl QualityMeasure {
     ///
     /// Returns [`CqmError::InvalidInput`] on malformed cues (those are
     /// caller bugs, not runtime conditions).
+    // lint: allow(ASSERT_DENSITY) -- cue validation lives in raw, which rejects bad input via Result
     pub fn measure(&self, cues: &[f64], class: ClassId) -> Result<Quality> {
-        let q = match self.raw(cues, class) {
-            Ok(raw) => normalize(raw),
-            Err(CqmError::Fuzzy(cqm_fuzzy::FuzzyError::NoRuleFired)) => Quality::Epsilon,
-            Err(e) => return Err(e),
-        };
-        if cfg!(feature = "strict-math") {
-            debug_assert!(
-                q.value().map_or(true, |v| (0.0..=1.0).contains(&v)),
-                "quality left [0, 1] union eps: {q}"
-            );
-        }
-        Ok(q)
+        qualify(self.raw(cues, class))
     }
 
     /// Build the allocation-free runtime evaluator for this measure (see
@@ -162,24 +142,14 @@ impl QualityKernel {
     /// # Errors
     ///
     /// Same conditions as [`QualityMeasure::raw`].
+    // lint: allow(ASSERT_DENSITY) -- cue validation lives in check_cue_vector, which rejects bad input via Result
     pub fn raw_into(
         &self,
         cues: &[f64],
         class: ClassId,
         scratch: &mut QualityScratch,
     ) -> Result<f64> {
-        if cues.len() != self.cue_dim {
-            return Err(CqmError::InvalidInput(format!(
-                "cue vector has {} entries, quality measure expects {}",
-                cues.len(),
-                self.cue_dim
-            )));
-        }
-        if cues.iter().any(|x| !x.is_finite()) {
-            return Err(CqmError::InvalidInput(
-                "cue vector contains non-finite values".into(),
-            ));
-        }
+        check_cue_vector(cues, self.cue_dim, "quality measure")?;
         scratch.joint.clear();
         scratch.joint.reserve(cues.len() + 1);
         scratch.joint.extend_from_slice(cues);
@@ -193,25 +163,34 @@ impl QualityKernel {
     /// # Errors
     ///
     /// Same conditions as [`QualityMeasure::measure`].
+    // lint: allow(ASSERT_DENSITY) -- cue validation lives in raw_into, which rejects bad input via Result
     pub fn measure_into(
         &self,
         cues: &[f64],
         class: ClassId,
         scratch: &mut QualityScratch,
     ) -> Result<Quality> {
-        let q = match self.raw_into(cues, class, scratch) {
-            Ok(raw) => normalize(raw),
-            Err(CqmError::Fuzzy(cqm_fuzzy::FuzzyError::NoRuleFired)) => Quality::Epsilon,
-            Err(e) => return Err(e),
-        };
-        if cfg!(feature = "strict-math") {
-            debug_assert!(
-                q.value().map_or(true, |v| (0.0..=1.0).contains(&v)),
-                "quality left [0, 1] union eps: {q}"
-            );
-        }
-        Ok(q)
+        qualify(self.raw_into(cues, class, scratch))
     }
+}
+
+/// `L` over a raw FIS result — the one ε mapping behind both
+/// [`QualityMeasure::measure`] and [`QualityKernel::measure_into`]: a raw
+/// output is normalized, "no rule fired" becomes ε, any other error passes
+/// through.
+fn qualify(raw: Result<f64>) -> Result<Quality> {
+    let q = match raw {
+        Ok(raw) => normalize(raw),
+        Err(CqmError::Fuzzy(cqm_fuzzy::FuzzyError::NoRuleFired)) => Quality::Epsilon,
+        Err(e) => return Err(e),
+    };
+    if cfg!(feature = "strict-math") {
+        debug_assert!(
+            q.value().is_none_or(|v| (0.0..=1.0).contains(&v)),
+            "quality left [0, 1] union eps: {q}"
+        );
+    }
+    Ok(q)
 }
 
 #[cfg(test)]

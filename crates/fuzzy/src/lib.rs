@@ -53,7 +53,7 @@ pub mod membership;
 pub mod tnorm;
 pub mod tsk;
 
-pub use kernel::{EvalPrecision, TskKernel, TskScratch};
+pub use kernel::{TskKernel, TskScratch};
 pub use membership::MembershipFunction;
 pub use tsk::{TskFis, TskRule};
 

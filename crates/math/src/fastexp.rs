@@ -1,76 +1,11 @@
-//! Vetted exponential entry points for hot-path code (DESIGN.md section 9).
+//! Vetted exponential entry point for hot-path code (DESIGN.md section 9).
 //!
 //! Hot-path files (tagged `// analyze: hot-path`) are forbidden by the
 //! `APPROX_MATH` analyze pass from calling `.exp()` / `.powf()` directly;
-//! they route through this module instead so every transcendental in a hot
-//! loop carries an explicit precision contract:
-//!
-//! * [`exp_exact`] — exactly `f64::exp`. Zero approximation; the vetted
-//!   entry point for paths that must stay bit-identical to the scalar
-//!   reference implementation.
-//! * [`exp_bounded`] — range-reduced polynomial `exp` with a documented,
-//!   test-proven maximum error of [`EXP_BOUNDED_MAX_ULP`] ULP against
-//!   `f64::exp` over the fast range. Outside the fast range (overflow,
-//!   denormal results, NaN, ±inf) it falls back to `f64::exp`, so edge
-//!   cases are always handled by the reference implementation.
-//! * [`exp4_bounded`] — four-lane variant of `exp_bounded` whose per-lane
-//!   operation sequence is identical to the scalar function, so a value's
-//!   result never depends on its position within a batch. The straight-line
-//!   body (no lane-dependent branches in the fast path) is what lets the
-//!   optimizer keep the whole block in vector registers.
-//!
-//! The kernel argument domain is `-0.5 * z * z` for standardized distances
-//! `z`, i.e. always `<= 0`; the fast range is still symmetric so the bound
-//! is proven for generic arguments (see `tests/fastexp_ulp.rs`).
-
-/// Maximum observed-and-asserted ULP error of [`exp_bounded`] against
-/// `f64::exp` over the fast range. The ULP sweep in `tests/fastexp_ulp.rs`
-/// fails if the implementation ever exceeds this bound.
-pub const EXP_BOUNDED_MAX_ULP: u64 = 2;
-
-/// Arguments at or below this take the `f64::exp` fallback: `exp(-708)` is
-/// within a factor ~7 of `f64::MIN_POSITIVE`, so staying strictly above
-/// keeps every fast-path result (and every intermediate `2^k` scale)
-/// normal — the polynomial path never has to reason about denormals.
-const FAST_LO: f64 = -708.0;
-/// Arguments at or above this take the fallback: `exp(709.8)` overflows.
-const FAST_HI: f64 = 709.0;
-
-/// `1.5 * 2^52`. Adding then subtracting this magic constant rounds a
-/// `f64` with magnitude below `2^51` to the nearest integer using a single
-/// add/sub pair — unlike `f64::round`, the trick stays in the FPU pipeline
-/// and vectorizes. (Ties go to even rather than away from zero; for range
-/// reduction either neighbour is a valid `k`.)
-const SHIFT: f64 = 6_755_399_441_055_744.0;
-/// Bit pattern of [`SHIFT`]; subtracting it from `(x + SHIFT).to_bits()`
-/// recovers `round(x)` as an integer without a float→int conversion, which
-/// keeps the `2^k` reconstruction vectorizable.
-const SHIFT_BITS: i64 = 0x4338_0000_0000_0000;
-
-const LOG2_E: f64 = std::f64::consts::LOG2_E;
-/// `ln(2)` split Cody–Waite style: `LN2_HI` carries the high bits exactly
-/// representable such that `k * LN2_HI` is exact for `|k| < 2^16`, and
-/// `LN2_LO` carries the remainder, so `x - k*LN2_HI - k*LN2_LO` loses
-/// almost no precision even though `k * ln2` is close to `x`.
-const LN2_HI: f64 = 6.931_471_803_691_238_164_9e-1;
-const LN2_LO: f64 = 1.908_214_929_270_587_700_02e-10;
-
-// Taylor coefficients 1/n! for the degree-13 polynomial. With the reduced
-// argument bounded by |r| <= ln(2)/2 ≈ 0.3466, the truncation error of the
-// degree-13 Taylor series is below 0.05 ULP; the measured end-to-end error
-// (rounding included) stays within EXP_BOUNDED_MAX_ULP.
-const C13: f64 = 1.0 / 6_227_020_800.0;
-const C12: f64 = 1.0 / 479_001_600.0;
-const C11: f64 = 1.0 / 39_916_800.0;
-const C10: f64 = 1.0 / 3_628_800.0;
-const C9: f64 = 1.0 / 362_880.0;
-const C8: f64 = 1.0 / 40_320.0;
-const C7: f64 = 1.0 / 5_040.0;
-const C6: f64 = 1.0 / 720.0;
-const C5: f64 = 1.0 / 120.0;
-const C4: f64 = 1.0 / 24.0;
-const C3: f64 = 1.0 / 6.0;
-const C2: f64 = 1.0 / 2.0;
+//! they route through [`exp_exact`] instead, so every transcendental in a
+//! hot loop is spelled the same greppable way and stays exactly `f64::exp`
+//! — the property the kernels' bit-identity with the scalar reference
+//! implementation rests on.
 
 /// Exactly `f64::exp`. Exists so hot-path files have a vetted, greppable
 /// entry point: the `APPROX_MATH` analyze pass flags raw `.exp()` calls in
@@ -79,105 +14,6 @@ const C2: f64 = 1.0 / 2.0;
 // lint: allow(ASSERT_DENSITY) -- total on R like f64::exp itself; this is the greppable exact spelling, not a new domain
 pub fn exp_exact(x: f64) -> f64 {
     x.exp()
-}
-
-/// Whether `x` is inside the polynomial fast range. Everything else —
-/// NaN, ±inf, overflow territory, and arguments whose result would be
-/// denormal — is delegated to `f64::exp`.
-#[inline(always)]
-fn in_fast_range(x: f64) -> bool {
-    x > FAST_LO && x < FAST_HI
-}
-
-/// Core polynomial evaluation. Callers must guarantee `in_fast_range(x)`.
-///
-/// The body is branch-free straight-line arithmetic: range-reduce
-/// `x = k*ln2 + r` with `|r| <= ln(2)/2`, evaluate `e^r` by a Horner
-/// degree-13 Taylor polynomial, and scale by `2^k` via direct exponent-bit
-/// construction. `k` is recovered from the rounding trick's bit pattern so
-/// no float→int conversion instruction is needed.
-#[inline(always)]
-fn exp_core(x: f64) -> f64 {
-    let kf = x * LOG2_E + SHIFT;
-    let k = kf - SHIFT;
-    let ki = (kf.to_bits() as i64).wrapping_sub(SHIFT_BITS);
-    let r = (x - k * LN2_HI) - k * LN2_LO;
-    let mut p = C13;
-    p = p * r + C12;
-    p = p * r + C11;
-    p = p * r + C10;
-    p = p * r + C9;
-    p = p * r + C8;
-    p = p * r + C7;
-    p = p * r + C6;
-    p = p * r + C5;
-    p = p * r + C4;
-    p = p * r + C3;
-    p = p * r + C2;
-    p = p * r + 1.0;
-    p = p * r + 1.0;
-    // In the fast range k ∈ [-1022, 1023], so the biased exponent is a
-    // positive 11-bit value and the shift cannot overflow.
-    let two_k = f64::from_bits(((ki + 1023) << 52) as u64);
-    p * two_k
-}
-
-/// Fast `exp` with a bounded, test-proven error of at most
-/// [`EXP_BOUNDED_MAX_ULP`] ULP vs `f64::exp` in the fast range, falling
-/// back to `f64::exp` itself for NaN/±inf/overflow/denormal-result
-/// arguments. `exp_bounded(0.0)` is exactly `1.0`.
-#[inline]
-// lint: allow(ASSERT_DENSITY) -- total over all f64 by contract: NaN/±inf/out-of-range arguments route to the std fallback
-pub fn exp_bounded(x: f64) -> f64 {
-    if !in_fast_range(x) {
-        // NaN fails both comparisons and lands here too.
-        return x.exp();
-    }
-    exp_core(x)
-}
-
-/// Four-lane [`exp_bounded`]. Per-lane results are bit-identical to the
-/// scalar function: the fast path applies `exp_core` to each lane with the
-/// same operation sequence, and any out-of-range lane demotes the whole
-/// block to four scalar `exp_bounded` calls (which agree with `exp_core`
-/// on the in-range lanes anyway).
-#[inline]
-pub fn exp4_bounded(x: [f64; 4]) -> [f64; 4] {
-    let mut out = [0.0_f64; 4];
-    if x.iter().all(|v| in_fast_range(*v)) {
-        for (o, v) in out.iter_mut().zip(&x) {
-            *o = exp_core(*v);
-        }
-    } else {
-        for (o, v) in out.iter_mut().zip(&x) {
-            *o = exp_bounded(*v);
-        }
-    }
-    out
-}
-
-/// Distance between two finite floats in units in the last place, measured
-/// on the monotone ordered-integer number line (negative floats are
-/// mirrored below zero, so the metric is continuous across ±0).
-///
-/// Two NaNs are at distance 0; a NaN against a non-NaN is `u64::MAX`.
-/// Comparisons are done entirely in integer space — no float `==`.
-// lint: allow(ASSERT_DENSITY) -- total by design: NaN operands get explicit distances on the first lines
-pub fn ulp_diff(a: f64, b: f64) -> u64 {
-    match (a.is_nan(), b.is_nan()) {
-        (true, true) => return 0,
-        (true, false) | (false, true) => return u64::MAX,
-        (false, false) => {}
-    }
-    fn ordered(x: f64) -> i64 {
-        let bits = x.to_bits();
-        if bits >> 63 == 0 {
-            bits as i64
-        } else {
-            -((bits & 0x7fff_ffff_ffff_ffff) as i64)
-        }
-    }
-    ordered(a).abs_diff(ordered(b))
 }
 
 #[cfg(test)]
@@ -189,71 +25,5 @@ mod tests {
         for x in [-5.0, -0.5, 0.0, 1.0, 3.25] {
             assert_eq!(exp_exact(x).to_bits(), x.exp().to_bits());
         }
-    }
-
-    #[test]
-    fn exp_bounded_of_zero_is_one() {
-        assert_eq!(exp_bounded(0.0).to_bits(), 1.0_f64.to_bits());
-        assert_eq!(exp_bounded(-0.0).to_bits(), 1.0_f64.to_bits());
-    }
-
-    #[test]
-    fn exp_bounded_within_documented_ulp_on_spot_checks() {
-        let mut worst = 0_u64;
-        let mut x = -700.0;
-        while x < 700.0 {
-            let d = ulp_diff(exp_bounded(x), x.exp());
-            worst = worst.max(d);
-            x += 0.37;
-        }
-        assert!(
-            worst <= EXP_BOUNDED_MAX_ULP,
-            "worst ULP {worst} exceeds documented bound {EXP_BOUNDED_MAX_ULP}"
-        );
-    }
-
-    #[test]
-    fn fallback_handles_specials() {
-        assert!(exp_bounded(f64::NAN).is_nan());
-        assert_eq!(exp_bounded(f64::INFINITY).to_bits(), f64::INFINITY.to_bits());
-        assert_eq!(exp_bounded(f64::NEG_INFINITY).to_bits(), 0.0_f64.to_bits());
-        // Overflow and denormal-result arguments match std exactly.
-        for x in [710.0, 800.0, -708.0, -710.0, -745.0, -800.0] {
-            assert_eq!(exp_bounded(x).to_bits(), x.exp().to_bits(), "x={x}");
-        }
-    }
-
-    #[test]
-    fn exp4_matches_scalar_bitwise() {
-        let blocks = [
-            [-0.125, -3.5, -80.0, -0.0078125],
-            [0.0, 1.0, -1.0, 0.5],
-            // Mixed in/out of fast range: the whole block demotes, and the
-            // in-range lanes still agree with the scalar fast path.
-            [-900.0, -0.25, f64::NAN, 2.0],
-        ];
-        for block in blocks {
-            let lanes = exp4_bounded(block);
-            for (l, x) in lanes.iter().zip(&block) {
-                let s = exp_bounded(*x);
-                if s.is_nan() {
-                    assert!(l.is_nan());
-                } else {
-                    assert_eq!(l.to_bits(), s.to_bits(), "x={x}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn ulp_diff_basics() {
-        assert_eq!(ulp_diff(1.0, 1.0), 0);
-        assert_eq!(ulp_diff(1.0, f64::from_bits(1.0_f64.to_bits() + 1)), 1);
-        assert_eq!(ulp_diff(0.0, -0.0), 0);
-        assert_eq!(ulp_diff(f64::NAN, f64::NAN), 0);
-        assert_eq!(ulp_diff(f64::NAN, 1.0), u64::MAX);
-        // Crossing zero counts both sides.
-        let tiny = f64::from_bits(1);
-        assert_eq!(ulp_diff(tiny, -tiny), 2);
     }
 }

@@ -11,8 +11,6 @@
 //! same order, which is what lets the blocked kernel in `cqm-fuzzy` prove
 //! bit-identity against its scalar reference row by row.
 
-use crate::fastexp;
-
 /// Lane width. Four f64s fill one 32-byte vector register (AVX2) or two
 /// 16-byte ones (SSE2/NEON) — wide enough to amortize, narrow enough that
 /// remainder handling stays cheap.
@@ -25,8 +23,6 @@ pub struct F64x4(pub [f64; LANES]);
 impl F64x4 {
     /// All lanes zero — the additive identity.
     pub const ZERO: F64x4 = F64x4([0.0; LANES]);
-    /// All lanes one — the multiplicative / t-norm fold identity.
-    pub const ONE: F64x4 = F64x4([1.0; LANES]);
 
     /// Broadcast one value to every lane.
     #[inline(always)]
@@ -51,35 +47,6 @@ impl F64x4 {
     #[inline(always)]
     pub fn to_array(self) -> [f64; LANES] {
         self.0
-    }
-
-    /// Per-lane [`fastexp::exp_bounded`], via the four-lane kernel whose
-    /// per-lane operation sequence is identical to the scalar function.
-    #[inline(always)]
-    pub fn exp_bounded(self) -> F64x4 {
-        F64x4(fastexp::exp4_bounded(self.0))
-    }
-
-    /// Per-lane `f64::exp` (exact; used by the bit-identical blocked path).
-    #[inline(always)]
-    pub fn exp_exact(self) -> F64x4 {
-        let mut out = [0.0_f64; LANES];
-        for (o, v) in out.iter_mut().zip(&self.0) {
-            *o = fastexp::exp_exact(*v);
-        }
-        F64x4(out)
-    }
-
-    /// Per-lane `f64::min` against a broadcast scalar. Used to clamp
-    /// approximated memberships back into the t-norm domain `[0, 1]`.
-    #[inline(always)]
-    // lint: allow(ASSERT_DENSITY) -- per-lane f64::min is total; NaN lanes follow IEEE min semantics
-    pub fn min_scalar(self, bound: f64) -> F64x4 {
-        let mut out = self.0;
-        for o in out.iter_mut() {
-            *o = o.min(bound);
-        }
-        F64x4(out)
     }
 }
 
@@ -137,22 +104,5 @@ mod tests {
         assert_eq!(F64x4::from_slice(&s).to_array(), [1.0, 2.0, 3.0, 4.0]);
         // Short slices zero-fill the tail.
         assert_eq!(F64x4::from_slice(&s[..2]).to_array(), [1.0, 2.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn exp_lanes_match_scalar_entry_points() {
-        let v = F64x4([-0.5, -8.0, 0.0, -0.03125]);
-        let fast = v.exp_bounded().to_array();
-        let exact = v.exp_exact().to_array();
-        for (i, x) in v.to_array().iter().enumerate() {
-            assert_eq!(fast[i].to_bits(), fastexp::exp_bounded(*x).to_bits());
-            assert_eq!(exact[i].to_bits(), x.exp().to_bits());
-        }
-    }
-
-    #[test]
-    fn min_scalar_clamps() {
-        let v = F64x4([0.5, 1.0 + 1.0e-9, -3.0, 2.0]);
-        assert_eq!(v.min_scalar(1.0).to_array(), [0.5, 1.0, -3.0, 1.0]);
     }
 }

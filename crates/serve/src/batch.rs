@@ -24,7 +24,7 @@ use cqm_classify::ClassifierKernel;
 use cqm_core::classifier::ClassId;
 use cqm_core::pipeline::QualifiedClassification;
 use cqm_core::{CqmError, QualityFilter, QualityKernel, QualityScratch};
-use cqm_fuzzy::{EvalPrecision, TskScratch};
+use cqm_fuzzy::TskScratch;
 
 use crate::model::ServedModel;
 use crate::protocol::{Response, WireError};
@@ -125,27 +125,7 @@ impl Engine {
         cues: &[f64],
         scratch: &mut EngineScratch,
     ) -> std::result::Result<QualifiedClassification, CqmError> {
-        self.classify_one_prec(cues, EvalPrecision::Exact, scratch)
-    }
-
-    /// [`Engine::classify_one`] under an explicit classifier precision
-    /// contract (see [`EvalPrecision`]). Only the classifier sweep is ever
-    /// approximated; the quality measure and filter verdict always run the
-    /// exact path, so `q` stays bit-identical to the in-process pipeline
-    /// at any serving precision.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Engine::classify_one`].
-    pub fn classify_one_prec(
-        &self,
-        cues: &[f64],
-        precision: EvalPrecision,
-        scratch: &mut EngineScratch,
-    ) -> std::result::Result<QualifiedClassification, CqmError> {
-        let class = self
-            .classifier
-            .classify_into_prec(cues, precision, &mut scratch.tsk)?;
+        let class = self.classifier.classify_into(cues, &mut scratch.tsk)?;
         self.finish(cues, class, &mut scratch.quality)
     }
 
@@ -161,27 +141,9 @@ impl Engine {
         scratch: &mut EngineScratch,
         out: &mut Vec<QualifiedClassification>,
     ) -> std::result::Result<(), CqmError> {
-        self.classify_rows_prec(rows, EvalPrecision::Exact, scratch, out)
-    }
-
-    /// [`Engine::classify_rows`] under an explicit classifier precision
-    /// contract; like [`Engine::classify_one_prec`], the quality measure
-    /// always runs exact.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Engine::classify_one`] for any row.
-    pub fn classify_rows_prec(
-        &self,
-        rows: &[Vec<f64>],
-        precision: EvalPrecision,
-        scratch: &mut EngineScratch,
-        out: &mut Vec<QualifiedClassification>,
-    ) -> std::result::Result<(), CqmError> {
         out.clear();
-        self.classifier.classify_batch_into_prec(
+        self.classifier.classify_batch_into(
             rows,
-            precision,
             &mut scratch.tsk,
             &mut scratch.raw,
             &mut scratch.classes,
@@ -201,7 +163,6 @@ impl Engine {
     fn eval_singles(
         &self,
         rows: &[Vec<f64>],
-        precision: EvalPrecision,
         scratch: &mut EngineScratch,
         out: &mut Vec<std::result::Result<QualifiedClassification, CqmError>>,
     ) {
@@ -209,9 +170,8 @@ impl Engine {
         out.reserve(rows.len());
         let swept = self
             .classifier
-            .classify_batch_into_prec(
+            .classify_batch_into(
                 rows,
-                precision,
                 &mut scratch.tsk,
                 &mut scratch.raw,
                 &mut scratch.classes,
@@ -224,7 +184,7 @@ impl Engine {
             }
         } else {
             for row in rows {
-                out.push(self.classify_one_prec(row, precision, scratch));
+                out.push(self.classify_one(row, scratch));
             }
         }
     }
@@ -255,7 +215,6 @@ pub(crate) fn to_wire(e: &CqmError) -> WireError {
 pub(crate) fn run_worker(
     queue: &BoundedQueue<Job>,
     micro_batch: usize,
-    precision: EvalPrecision,
     eval_delay: Option<Duration>,
     rows_classified: &AtomicU64,
 ) {
@@ -295,7 +254,7 @@ pub(crate) fn run_worker(
                 .take_while(|e| Arc::ptr_eq(e, engine))
                 .count();
             let (run_rows, rest_rows) = rows_left.split_at(run.min(rows_left.len()));
-            engine.eval_singles(run_rows, precision, &mut scratch, &mut run_results);
+            engine.eval_singles(run_rows, &mut scratch, &mut run_results);
             single_results.extend(run_results.drain(..));
             rows_left = rest_rows;
             let (_, rest_engines) = engines_left.split_at(run);
@@ -318,10 +277,7 @@ pub(crate) fn run_worker(
                 },
                 Work::Many(rows) => {
                     let mut results = Vec::with_capacity(rows.len());
-                    match job
-                        .engine
-                        .classify_rows_prec(&rows, precision, &mut scratch, &mut results)
-                    {
+                    match job.engine.classify_rows(&rows, &mut scratch, &mut results) {
                         Ok(()) => {
                             answered_rows += results.len() as u64;
                             Response::ClassifiedBatch { results }
@@ -405,7 +361,7 @@ mod tests {
         assert!(engine.classify_rows(&rows, &mut scratch, &mut out).is_err());
         // The same rows as independent singles: good rows still answer.
         let mut results = Vec::new();
-        engine.eval_singles(&rows, EvalPrecision::Exact, &mut scratch, &mut results);
+        engine.eval_singles(&rows, &mut scratch, &mut results);
         assert_eq!(results.len(), 3);
         assert!(results[0].is_ok());
         assert!(results[1].is_err());
@@ -440,7 +396,7 @@ mod tests {
             receivers.push(rx);
         }
         queue.close();
-        run_worker(&queue, 4, EvalPrecision::Exact, None, &rows_classified);
+        run_worker(&queue, 4, None, &rows_classified);
         for rx in receivers {
             let resp = rx.try_recv().expect("every admitted job is answered");
             assert!(matches!(
@@ -492,7 +448,7 @@ mod tests {
             cues.push((x, i % 3 == 0));
         }
         queue.close();
-        run_worker(&queue, 12, EvalPrecision::Exact, None, &rows_classified);
+        run_worker(&queue, 12, None, &rows_classified);
         for (rx, (x, is_b)) in receivers.into_iter().zip(cues) {
             let resp = rx.try_recv().expect("answered");
             let Response::Classified { result } = resp else {
@@ -503,64 +459,6 @@ mod tests {
             assert_eq!(bits(&result), bits(&local), "x={x} is_b={is_b}");
         }
         assert_eq!(rows_classified.load(Ordering::Relaxed), 12);
-    }
-
-    #[test]
-    fn bounded_precision_keeps_quality_exact_and_classes_stable() {
-        let model = tiny_model();
-        let engine = Engine::new(&model).expect("engine");
-        let system = reference(&model);
-        let mut scratch = EngineScratch::new();
-        let mut x = -0.2;
-        while x <= 1.2 {
-            let served = engine
-                .classify_one_prec(&[x], EvalPrecision::BoundedUlp, &mut scratch)
-                .expect("serve");
-            let local = system.classify_with_quality(&[x]).expect("local");
-            // The quality measure always runs exact, so q is bit-identical
-            // even at bounded precision; on this well-separated testbed the
-            // sub-ULP classifier drift never crosses a rounding boundary.
-            assert_eq!(bits(&served), bits(&local), "x={x}");
-            x += 0.04;
-        }
-    }
-
-    #[test]
-    fn bounded_precision_worker_answers_match_engine_path() {
-        let model = tiny_model();
-        let engine = Arc::new(Engine::new(&model).expect("engine"));
-        let queue = BoundedQueue::new(16);
-        let rows_classified = AtomicU64::new(0);
-        let mut receivers = Vec::new();
-        let xs: Vec<f64> = (0..9).map(|i| 0.05 + i as f64 * 0.11).collect();
-        for &x in &xs {
-            let (tx, rx) = mpsc::sync_channel(1);
-            assert!(matches!(
-                queue.push(
-                    Job {
-                        work: Work::One(vec![x]),
-                        reply: tx,
-                        engine: Arc::clone(&engine)
-                    },
-                    &AdmissionPolicy::Reject
-                ),
-                crate::queue::Admission::Enqueued
-            ));
-            receivers.push(rx);
-        }
-        queue.close();
-        run_worker(&queue, 4, EvalPrecision::BoundedUlp, None, &rows_classified);
-        let mut scratch = EngineScratch::new();
-        for (rx, x) in receivers.into_iter().zip(xs) {
-            let resp = rx.try_recv().expect("answered");
-            let Response::Classified { result } = resp else {
-                panic!("expected Classified, got {resp:?}");
-            };
-            let want = engine
-                .classify_one_prec(&[x], EvalPrecision::BoundedUlp, &mut scratch)
-                .expect("engine path");
-            assert_eq!(bits(&result), bits(&want), "x={x}");
-        }
     }
 
     #[test]

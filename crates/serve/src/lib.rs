@@ -53,7 +53,6 @@ pub mod registry;
 pub mod server;
 
 pub use batch::{Engine, EngineScratch};
-pub use cqm_fuzzy::EvalPrecision;
 pub use client::{ClientConfig, CqmClient, ServedAnswer};
 pub use dedup::{Claim, DedupConfig, DedupStats, DedupWindow};
 pub use model::{ModelSource, ResolvedModel, ServeCheckpoint, ServedModel};

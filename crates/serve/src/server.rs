@@ -27,7 +27,6 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use cqm_core::pipeline::QualifiedClassification;
-use cqm_fuzzy::EvalPrecision;
 use cqm_parallel::WorkerPool;
 use cqm_persist::CheckpointHandle;
 use cqm_resilience::degrade::{DegradationLadder, DegradationPolicy, HealthState};
@@ -65,12 +64,6 @@ pub struct ServerConfig {
     /// Most jobs a worker folds into one kernel sweep (clamped to at
     /// least 1).
     pub micro_batch: usize,
-    /// Classifier evaluation precision for served answers (DESIGN.md §9).
-    /// The default, [`EvalPrecision::Exact`], is bit-identical to the
-    /// in-process pipeline; [`EvalPrecision::BoundedUlp`] opts the
-    /// classifier sweeps into the bounded fast-`exp` lanes. The quality
-    /// measure and swap-validation probes always evaluate exactly.
-    pub precision: EvalPrecision,
     /// Where to write the shutdown checkpoint; `None` disables it.
     pub checkpoint: Option<PathBuf>,
     /// Artificial per-micro-batch evaluation delay — a load-shaping knob
@@ -101,7 +94,6 @@ impl Default for ServerConfig {
             queue_capacity: 256,
             admission: AdmissionPolicy::Reject,
             micro_batch: 16,
-            precision: EvalPrecision::default(),
             checkpoint: None,
             eval_delay: None,
             frame_deadline: Some(Duration::from_secs(10)),
@@ -320,7 +312,6 @@ impl CqmServer {
         let runtime = {
             let shared = Arc::clone(&shared);
             let eval_delay = config.eval_delay;
-            let precision = config.precision;
             std::thread::spawn(move || {
                 // The pool's scoped threads are the worker loops: one
                 // chunk per worker, each blocking on the queue until it
@@ -330,7 +321,6 @@ impl CqmServer {
                     run_worker(
                         &shared.queue,
                         micro_batch,
-                        precision,
                         eval_delay,
                         &shared.rows_classified,
                     );

@@ -11,25 +11,40 @@
 //!
 //! The allocation counter needs a `#[global_allocator]` shim, which requires
 //! `unsafe` — allowed in this one test target only (the workspace denies it
-//! everywhere else, and library targets `forbid` it).
+//! everywhere else, and library targets `forbid` it). It counts per thread,
+//! so a test measures only its own allocations, never those of the tests the
+//! default runner executes beside it.
 
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 use cqm::anfis::{train_hybrid_with, Dataset, GenfisParams, HybridConfig};
 use cqm::fuzzy::{MembershipFunction, TskFis, TskRule, TskScratch};
 use cqm::parallel::WorkerPool;
 
-/// System allocator wrapped with a global allocation counter.
+/// System allocator wrapped with a per-thread allocation counter.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    // `const`-initialised and drop-free: reading or bumping it never
+    // allocates, so the allocator itself can touch it.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made so far by the calling thread.
+fn allocations() -> usize {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -38,7 +53,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -95,14 +110,14 @@ fn steady_state_kernel_eval_allocates_nothing() {
     }
     assert!(warm.is_finite());
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let mut acc = 0.0f64;
     for _ in 0..50 {
         for v in &inputs {
             acc += kernel.eval_into(v, &mut scratch).expect("eval");
         }
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert!(acc.is_finite());
     assert_eq!(
         after - before,
@@ -125,11 +140,11 @@ fn presized_scratch_first_batch_allocates_nothing() {
     let mut scratch = kernel.scratch();
     let mut out: Vec<f64> = Vec::with_capacity(inputs.len());
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     kernel
         .eval_batch_into(&inputs, &mut scratch, &mut out)
         .expect("batch eval");
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(out.len(), inputs.len());
     assert!(out.iter().all(|y| y.is_finite()));
     assert_eq!(

@@ -690,45 +690,3 @@ fn outdated_server_version_fails_the_client_fast_without_retries() {
     assert_eq!(c.last_attempts(), 1, "version mismatch must not be retried");
     fake_v2_server.join().expect("fake server");
 }
-
-/// A server opted into `EvalPrecision::BoundedUlp` still answers every
-/// request, its quality values stay bit-identical to the exact in-process
-/// pipeline (the quality kernel never approximates), and every class
-/// matches the engine-level bounded path.
-#[test]
-fn bounded_precision_server_matches_engine_and_keeps_quality_exact() {
-    use cqm::serve::{Engine, EngineScratch, EvalPrecision};
-
-    let model = tiny_model();
-    let engine = Engine::new(&model).expect("engine");
-    let reference = reference_system(&model);
-    let server = CqmServer::start(
-        ModelSource::Fresh(model),
-        ServerConfig {
-            precision: EvalPrecision::BoundedUlp,
-            workers: 2,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("start bounded server");
-    let mut c = client(server.local_addr());
-    let mut scratch = EngineScratch::new();
-    for cues in probe_cues(40) {
-        let served = c.classify(&cues).expect("served answer");
-        let want = engine
-            .classify_one_prec(&cues, EvalPrecision::BoundedUlp, &mut scratch)
-            .expect("engine bounded path");
-        assert_bit_identical(&served, &want, "served vs bounded engine");
-        // Quality is exact at any serving precision.
-        let local = reference
-            .classify_with_quality(&cues)
-            .expect("exact reference");
-        match (served.quality, local.quality) {
-            (Quality::Value(x), Quality::Value(y)) => {
-                assert_eq!(x.to_bits(), y.to_bits(), "quality must stay exact");
-            }
-            (x, y) => assert_eq!(x, y, "quality variant must stay exact"),
-        }
-    }
-    server.shutdown().expect("shutdown");
-}
