@@ -70,8 +70,8 @@
 
 use serde::{Deserialize, Serialize};
 
-pub use crate::fleetbench::DiskPlanRecord;
-pub use crate::perf::available_cores;
+use crate::fleetbench::DiskPlanRecord;
+use crate::harness::check_header;
 
 /// Schema identifier written to and expected in `BENCH_PR10.json`.
 pub const SCHEMA: &str = "cqm-bench/adaptbase/v1";
@@ -155,12 +155,7 @@ impl AdaptBaseline {
     ///
     /// Returns a human-readable description of the first violation.
     pub fn validate(&self) -> Result<(), String> {
-        if self.schema != SCHEMA {
-            return Err(format!("schema is {:?}, expected {SCHEMA:?}", self.schema));
-        }
-        if self.available_parallelism == 0 {
-            return Err("available_parallelism must be >= 1".into());
-        }
+        check_header(&self.schema, SCHEMA, self.available_parallelism)?;
         if self.workers == 0 {
             return Err("workers must be >= 1".into());
         }

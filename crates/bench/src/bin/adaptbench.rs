@@ -41,47 +41,18 @@ use cqm_adapt::{
     AdaptSample, AdaptationConfig, AdaptationOutcome, AdaptationSupervisor, DriftState,
     SlidingWindow,
 };
-use cqm_bench::adaptbench::{
-    available_cores, AdaptBaseline, DiskPlanRecord, RECOVERY_BOUND, SCHEMA,
-};
-use cqm_classify::FisClassifier;
+use cqm_bench::adaptbench::{AdaptBaseline, RECOVERY_BOUND, SCHEMA};
+use cqm_bench::harness::{Cli, Flag};
+use cqm_bench::soak::{is_typed_failure, tiny_model};
 use cqm_core::classifier::ClassId;
 use cqm_core::model::{CqmModel, MODEL_VERSION};
 use cqm_core::training::{train_cqm_with, CqmTrainingConfig};
-use cqm_fuzzy::{MembershipFunction, TskFis, TskRule};
 use cqm_parallel::WorkerPool;
 use cqm_resilience::DiskFaultPlan;
 use cqm_serve::{
-    ClientConfig, CqmClient, CqmServer, FleetConfig, ModelSource, ServeError, ServedModel,
-    ServerConfig, DEFAULT_TENANT,
+    ClientConfig, CqmClient, CqmServer, FleetConfig, ModelSource, ServedModel, ServerConfig,
+    DEFAULT_TENANT,
 };
-
-/// Hand-built 1-cue 2-class model (the same shape the serve and adapt test
-/// suites use): class 0 near cue 0, class 1 near cue 1, quality high on the
-/// diagonal. The scenario measures the adaptation machinery, not kernels.
-fn tiny_model(threshold: f64, note: &str) -> ServedModel {
-    let g = |mu: f64, s: f64| MembershipFunction::gaussian(mu, s).expect("gaussian");
-    let class_fis = TskFis::new(vec![
-        TskRule::new(vec![g(0.0, 0.3)], vec![0.0, 0.0]).expect("rule"),
-        TskRule::new(vec![g(1.0, 0.3)], vec![0.0, 1.0]).expect("rule"),
-    ])
-    .expect("class fis");
-    let classifier = FisClassifier::from_fis(class_fis, 2).expect("classifier");
-    let quality_fis = TskFis::new(vec![
-        TskRule::new(vec![g(0.0, 0.25), g(0.0, 0.25)], vec![0.0, 0.0, 1.0]).expect("rule"),
-        TskRule::new(vec![g(1.0, 0.25), g(1.0, 0.25)], vec![0.0, 0.0, 1.0]).expect("rule"),
-        TskRule::new(vec![g(0.0, 0.25), g(1.0, 0.25)], vec![0.0, 0.0, 0.0]).expect("rule"),
-        TskRule::new(vec![g(1.0, 0.25), g(0.0, 0.25)], vec![0.0, 0.0, 0.0]).expect("rule"),
-    ])
-    .expect("quality fis");
-    let model = CqmModel {
-        version: MODEL_VERSION,
-        measure: cqm_core::QualityMeasure::new(quality_fis).expect("measure"),
-        threshold,
-        note: note.into(),
-    };
-    ServedModel::new(classifier, model).expect("served model")
-}
 
 /// The seeded stationary sample at stream position `i`: mostly easy cues
 /// near the poles, some ambiguous ones — the same Weyl-sequence pattern the
@@ -133,15 +104,7 @@ fn drive_traffic(addr: SocketAddr, session: u64, stop: &AtomicBool) -> Tally {
         tally.issued += 1;
         match client.classify(&cue) {
             Ok(_answer) => tally.delivered += 1,
-            Err(
-                ServeError::Remote(_)
-                | ServeError::RetriesExhausted { .. }
-                | ServeError::Io { .. }
-                | ServeError::Timeout(_)
-                | ServeError::Protocol(_)
-                | ServeError::ConnectionClosed
-                | ServeError::Decode(_),
-            ) => tally.typed_failures += 1,
+            Err(e) if is_typed_failure(&e) => tally.typed_failures += 1,
             Err(other) => panic!("traffic produced an untyped failure: {other}"),
         }
     }
@@ -158,85 +121,28 @@ fn disk_plan(seed: u64) -> DiskFaultPlan {
     }
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<u64> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
-fn usage() {
-    println!(
-        "adaptbench — online adaptation: drift recovery with validated live swap (writes BENCH_PR10.json)\n\
-         \n\
-         USAGE:\n\
-         \x20   adaptbench [OPTIONS]\n\
-         \n\
-         OPTIONS:\n\
-         \x20   --smoke           quick CI-sized run (400 stationary samples)\n\
-         \x20   --out <PATH>      output JSON path (default: BENCH_PR10.json)\n\
-         \x20   --stationary <N>  stationary-phase samples (default: 1200, smoke: 400)\n\
-         \x20   --seed <N>        stream + disk-fault seed (default: 0xADA7)\n\
-         \x20   -h, --help        print this help and exit\n\
-         \n\
-         EXIT CODES:\n\
-         \x20   0  baseline written and the drift-recovery gate passed\n\
-         \x20   1  gate failed or the run errored\n\
-         \x20   2  unknown flag or malformed invocation"
-    );
-}
-
-/// Strict flag validation: every token must be a known flag or the value
-/// of the preceding value-taking flag. Unknown input is a usage error
-/// (exit 2), not a silent ignore.
-fn validate_args(args: &[String]) -> Result<(), String> {
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => i += 1,
-            "--out" | "--stationary" | "--seed" => {
-                if args.get(i + 1).is_none() {
-                    return Err(format!("flag {} is missing its value", args[i]));
-                }
-                i += 2;
-            }
-            other => return Err(format!("unknown flag {other:?}")),
-        }
-    }
-    Ok(())
-}
+const CLI: Cli = Cli {
+    bin: "adaptbench",
+    about: "drift recovery with validated live swap",
+    out: "BENCH_PR10.json",
+    smoke: "quick CI-sized run (400 stationary samples)",
+    flags: &[
+        Flag::count("--stationary", "stationary-phase samples", 1200, 400),
+        Flag::seed("--seed", "stream + disk-fault seed", 0xADA7),
+    ],
+    gate: "the drift-recovery gate",
+};
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        usage();
-        return ExitCode::SUCCESS;
-    }
-    if let Err(problem) = validate_args(&args) {
-        eprintln!("adaptbench: {problem}\n");
-        usage();
-        return ExitCode::from(2);
-    }
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_PR10.json".to_string());
-    let stationary =
-        flag_value(&args, "--stationary").unwrap_or(if smoke { 400 } else { 1200 });
-    let seed = flag_value(&args, "--seed").unwrap_or(0xADA7);
+    let args = CLI.args();
+    let smoke = args.smoke;
+    let stationary = args.number("--stationary");
+    let seed = args.number("--seed");
     let workers = 2usize;
     let disk = disk_plan(seed);
     let adapt_config = AdaptationConfig::default();
 
-    println!(
-        "== adaptbench: drift recovery with validated live swap ({}) ==",
-        if smoke { "smoke" } else { "full" }
-    );
-    let cores = available_cores();
-    println!("available parallelism: {cores} core(s)");
+    let cores = CLI.banner(smoke);
     println!(
         "{stationary} stationary sample(s), window {} (holdout every {}), seed {seed}\n",
         adapt_config.window_capacity, adapt_config.holdout_every
@@ -452,13 +358,7 @@ fn main() -> ExitCode {
         workers,
         window_capacity: adapt_config.window_capacity,
         holdout_every: adapt_config.holdout_every,
-        disk_plan: DiskPlanRecord {
-            warmup_ops: disk.warmup_ops,
-            corrupt_p: disk.corrupt_p,
-            torn_p: disk.torn_p,
-            delay_p: disk.delay_p,
-            delay_micros: disk.delay.as_micros() as u64,
-        },
+        disk_plan: (&disk).into(),
         stationary_samples: stationary,
         stationary_false_alarms,
         shifted_samples,
@@ -500,42 +400,21 @@ fn main() -> ExitCode {
         health.swaps, health.swap_rollbacks
     );
 
-    let json = serde_json::to_string_pretty(&baseline).expect("serialize baseline");
-    std::fs::write(&out_path, &json).expect("write baseline file");
-    println!("\nwrote {out_path}");
-
-    // Validate and gate by re-parsing what was actually written.
-    let written = std::fs::read_to_string(&out_path).expect("read baseline back");
-    let parsed: AdaptBaseline = match serde_json::from_str(&written) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("adaptbench: written JSON does not parse: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = parsed.validate() {
-        eprintln!("adaptbench: schema validation failed: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("schema validation: ok ({SCHEMA})");
-    match parsed.gate() {
-        Ok(()) => {
-            println!(
-                "adapt gate: ok (silent stationary phase, drift detected at {}, \
-                 {} promotion(s), {} rollback(s), adapted rmse {:.4} within {}x of \
-                 from-scratch {:.4}, zero drops)",
-                parsed.drift_detected_at,
-                parsed.promotions,
-                parsed.server_swap_rollbacks,
-                parsed.adapted_rmse,
-                parsed.recovery_bound,
-                parsed.scratch_rmse
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("adaptbench: drift-recovery gate failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    CLI.finish(&args.out, &baseline, SCHEMA, AdaptBaseline::validate, |b| {
+        b.gate()
+            .map(|()| {
+                format!(
+                    "adapt gate: ok (silent stationary phase, drift detected at {}, \
+                     {} promotion(s), {} rollback(s), adapted rmse {:.4} within {}x of \
+                     from-scratch {:.4}, zero drops)",
+                    b.drift_detected_at,
+                    b.promotions,
+                    b.server_swap_rollbacks,
+                    b.adapted_rmse,
+                    b.recovery_bound,
+                    b.scratch_rmse
+                )
+            })
+            .map_err(|e| format!("drift-recovery gate failed: {e}"))
+    })
 }

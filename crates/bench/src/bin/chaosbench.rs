@@ -26,43 +26,11 @@ use std::process::ExitCode;
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
-use cqm_bench::chaosbench::{
-    available_cores, percentile_micros, ChaosBaseline, ChaosPlanRecord, SCHEMA,
-};
-use cqm_classify::FisClassifier;
-use cqm_core::model::{CqmModel, MODEL_VERSION};
-use cqm_core::QualityMeasure;
-use cqm_fuzzy::{MembershipFunction, TskFis, TskRule};
+use cqm_bench::chaosbench::{ChaosBaseline, SCHEMA};
+use cqm_bench::harness::{percentile_micros, Cli, Flag};
+use cqm_bench::soak::{chaos_client, is_typed_failure, tiny_model};
 use cqm_resilience::{ChaosProxy, DegradationPolicy, NetFaultPlan};
-use cqm_serve::{
-    ClientConfig, CqmClient, CqmServer, ModelSource, ServeError, ServedModel, ServerConfig,
-};
-
-/// Hand-built two-class model over one cue in [0, 1] — the soak measures
-/// the transport, not the kernels, so no ANFIS training here.
-fn tiny_model() -> ServedModel {
-    let g = |mu: f64, s: f64| MembershipFunction::gaussian(mu, s).expect("gaussian");
-    let class_fis = TskFis::new(vec![
-        TskRule::new(vec![g(0.0, 0.3)], vec![0.0, 0.0]).expect("rule"),
-        TskRule::new(vec![g(1.0, 0.3)], vec![0.0, 1.0]).expect("rule"),
-    ])
-    .expect("class fis");
-    let classifier = FisClassifier::from_fis(class_fis, 2).expect("classifier");
-    let quality_fis = TskFis::new(vec![
-        TskRule::new(vec![g(0.0, 0.25), g(0.0, 0.25)], vec![0.0, 0.0, 1.0]).expect("rule"),
-        TskRule::new(vec![g(1.0, 0.25), g(1.0, 0.25)], vec![0.0, 0.0, 1.0]).expect("rule"),
-        TskRule::new(vec![g(0.0, 0.25), g(1.0, 0.25)], vec![0.0, 0.0, 0.0]).expect("rule"),
-        TskRule::new(vec![g(1.0, 0.25), g(0.0, 0.25)], vec![0.0, 0.0, 0.0]).expect("rule"),
-    ])
-    .expect("quality fis");
-    let model = CqmModel {
-        version: MODEL_VERSION,
-        measure: QualityMeasure::new(quality_fis).expect("measure"),
-        threshold: 0.5,
-        note: "chaosbench".into(),
-    };
-    ServedModel::new(classifier, model).expect("served model")
-}
+use cqm_serve::{CqmServer, ModelSource, ServerConfig};
 
 /// The measured fault schedule: hostile enough to exercise retries,
 /// dedup replays and torn frames, survivable enough that the soak
@@ -102,21 +70,7 @@ impl Tally {
 /// Drive one retrying client through the proxy. Every outcome must be a
 /// delivered classification or a typed error; a panic here fails the run.
 fn drive(addr: SocketAddr, session: u64, requests: usize, barrier: &Barrier) -> Tally {
-    let mut client = CqmClient::connect(
-        addr,
-        ClientConfig {
-            connect_timeout: Duration::from_secs(1),
-            io_timeout: Duration::from_millis(300),
-            retries: 8,
-            backoff_base: Duration::from_millis(2),
-            backoff_cap: Duration::from_millis(40),
-            call_deadline: Duration::from_secs(20),
-            session_id: Some(session),
-            seed: 7,
-            ..ClientConfig::default()
-        },
-    )
-    .expect("connect through chaos proxy");
+    let mut client = chaos_client(addr, session);
     let mut tally = Tally::default();
     barrier.wait();
     for i in 0..requests {
@@ -130,15 +84,7 @@ fn drive(addr: SocketAddr, session: u64, requests: usize, barrier: &Barrier) -> 
                     .latencies_micros
                     .push(start.elapsed().as_secs_f64() * 1e6);
             }
-            Err(
-                ServeError::Remote(_)
-                | ServeError::RetriesExhausted { .. }
-                | ServeError::Io { .. }
-                | ServeError::Timeout(_)
-                | ServeError::Protocol(_)
-                | ServeError::ConnectionClosed
-                | ServeError::Decode(_),
-            ) => {
+            Err(e) if is_typed_failure(&e) => {
                 tally.typed_failures += 1;
                 tally
                     .latencies_micros
@@ -151,93 +97,36 @@ fn drive(addr: SocketAddr, session: u64, requests: usize, barrier: &Barrier) -> 
     tally
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<u64> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
-fn usage() {
-    println!(
-        "chaosbench — exactly-once under network chaos (writes BENCH_PR7.json)\n\
-         \n\
-         USAGE:\n\
-         \x20   chaosbench [OPTIONS]\n\
-         \n\
-         OPTIONS:\n\
-         \x20   --smoke           quick CI-sized run (4 clients x 50 requests)\n\
-         \x20   --out <PATH>      output JSON path (default: BENCH_PR7.json)\n\
-         \x20   --clients <N>     concurrent retrying clients (default: 8, smoke: 4)\n\
-         \x20   --requests <N>    requests per client (default: 200, smoke: 50)\n\
-         \x20   --seed <N>        chaos schedule seed (default: 0xCA05)\n\
-         \x20   -h, --help        print this help and exit\n\
-         \n\
-         EXIT CODES:\n\
-         \x20   0  baseline written and the exactly-once gate passed\n\
-         \x20   1  gate failed or the run errored\n\
-         \x20   2  unknown flag or malformed invocation"
-    );
-}
-
-/// Strict flag validation: every token must be a known flag or the value
-/// of the preceding value-taking flag. Unknown input is a usage error
-/// (exit 2), not a silent ignore.
-fn validate_args(args: &[String]) -> Result<(), String> {
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => i += 1,
-            "--out" | "--clients" | "--requests" | "--seed" => {
-                if args.get(i + 1).is_none() {
-                    return Err(format!("flag {} is missing its value", args[i]));
-                }
-                i += 2;
-            }
-            other => return Err(format!("unknown flag {other:?}")),
-        }
-    }
-    Ok(())
-}
+const CLI: Cli = Cli {
+    bin: "chaosbench",
+    about: "exactly-once under network chaos",
+    out: "BENCH_PR7.json",
+    smoke: "quick CI-sized run (4 clients x 50 requests)",
+    flags: &[
+        Flag::count("--clients", "concurrent retrying clients", 8, 4),
+        Flag::count("--requests", "requests per client", 200, 50),
+        Flag::seed("--seed", "chaos schedule seed", 0xCA05),
+    ],
+    gate: "the exactly-once gate",
+};
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        usage();
-        return ExitCode::SUCCESS;
-    }
-    if let Err(problem) = validate_args(&args) {
-        eprintln!("chaosbench: {problem}\n");
-        usage();
-        return ExitCode::from(2);
-    }
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_PR7.json".to_string());
-    let clients = flag_value(&args, "--clients").unwrap_or(if smoke { 4 } else { 8 }) as usize;
-    let requests =
-        flag_value(&args, "--requests").unwrap_or(if smoke { 50 } else { 200 }) as usize;
-    let seed = flag_value(&args, "--seed").unwrap_or(0xCA05);
+    let args = CLI.args();
+    let smoke = args.smoke;
+    let clients = args.number("--clients") as usize;
+    let requests = args.number("--requests") as usize;
+    let seed = args.number("--seed");
     let workers = 2usize;
     let plan = soak_plan(seed);
 
-    println!(
-        "== chaosbench: exactly-once under network chaos ({}) ==",
-        if smoke { "smoke" } else { "full" }
-    );
-    let cores = available_cores();
-    println!("available parallelism: {cores} core(s)");
+    let cores = CLI.banner(smoke);
     println!(
         "{clients} client(s) x {requests} request(s), {workers} worker(s), chaos seed {seed}\n"
     );
 
     println!("[1/3] starting server and chaos proxy ...");
     let server = CqmServer::start(
-        ModelSource::Fresh(tiny_model()),
+        ModelSource::Fresh(tiny_model(0.5, "chaosbench")),
         ServerConfig {
             workers,
             micro_batch: 4,
@@ -298,14 +187,7 @@ fn main() -> ExitCode {
         workers,
         clients,
         requests_per_client: requests,
-        plan: ChaosPlanRecord {
-            warmup_ops: plan.warmup_ops,
-            partial_p: plan.partial_p,
-            latency_p: plan.latency_p,
-            latency_micros: plan.latency.as_micros() as u64,
-            corrupt_p: plan.corrupt_p,
-            reset_p: plan.reset_p,
-        },
+        plan: (&plan).into(),
         issued,
         delivered,
         typed_failures,
@@ -338,32 +220,9 @@ fn main() -> ExitCode {
     }
     println!();
 
-    let json = serde_json::to_string_pretty(&baseline).expect("serialize baseline");
-    std::fs::write(&out_path, &json).expect("write baseline file");
-    println!("\nwrote {out_path}");
-
-    // Validate and gate by re-parsing what was actually written.
-    let written = std::fs::read_to_string(&out_path).expect("read baseline back");
-    let parsed: ChaosBaseline = match serde_json::from_str(&written) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("chaosbench: written JSON does not parse: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = parsed.validate() {
-        eprintln!("chaosbench: schema validation failed: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("schema validation: ok ({SCHEMA})");
-    match parsed.gate() {
-        Ok(()) => {
-            println!("chaos gate: ok (every request accounted, zero duplicate executions)");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("chaosbench: chaos gate failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    CLI.finish(&args.out, &baseline, SCHEMA, ChaosBaseline::validate, |b| {
+        b.gate()
+            .map(|()| "chaos gate: ok (every request accounted, zero duplicate executions)".into())
+            .map_err(|e| format!("chaos gate failed: {e}"))
+    })
 }

@@ -33,21 +33,13 @@ use std::process::ExitCode;
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
-use cqm_bench::chaosbench::ChaosPlanRecord;
-use cqm_bench::fleetbench::{
-    available_cores, percentile_micros, DiskPlanRecord, FleetBaseline, SCHEMA,
-};
-use cqm_classify::FisClassifier;
-use cqm_core::model::{CqmModel, MODEL_VERSION};
+use cqm_bench::fleetbench::{FleetBaseline, SCHEMA};
+use cqm_bench::harness::{percentile_micros, Cli, Flag};
+use cqm_bench::soak::{chaos_client, is_typed_failure, tiny_model};
 use cqm_core::normalize::Quality;
 use cqm_core::pipeline::{CqmSystem, QualifiedClassification};
-use cqm_core::QualityMeasure;
-use cqm_fuzzy::{MembershipFunction, TskFis, TskRule};
 use cqm_resilience::{ChaosProxy, DiskFaultPlan, NetFaultPlan};
-use cqm_serve::{
-    ClientConfig, CqmClient, CqmServer, FleetConfig, ModelSource, ServeError, ServedModel,
-    ServerConfig,
-};
+use cqm_serve::{CqmServer, FleetConfig, ModelSource, ServedModel, ServerConfig};
 
 /// Probe cues reused cyclically by every tenant's traffic (same sweep as
 /// `chaosbench`): 16 deterministic points over and slightly past the
@@ -69,33 +61,6 @@ const SWAP_SHIFT: usize = 2;
 
 fn probe_cue(i: usize) -> Vec<f64> {
     vec![-0.1 + 1.2 * (i % CUE_COUNT) as f64 / CUE_COUNT as f64]
-}
-
-/// Hand-built two-class model over one cue in [0, 1]; the threshold is
-/// the tenant-distinguishing knob (the soak measures routing and swap
-/// machinery, not kernels).
-fn model_with_threshold(threshold: f64, note: &str) -> ServedModel {
-    let g = |mu: f64, s: f64| MembershipFunction::gaussian(mu, s).expect("gaussian");
-    let class_fis = TskFis::new(vec![
-        TskRule::new(vec![g(0.0, 0.3)], vec![0.0, 0.0]).expect("rule"),
-        TskRule::new(vec![g(1.0, 0.3)], vec![0.0, 1.0]).expect("rule"),
-    ])
-    .expect("class fis");
-    let classifier = FisClassifier::from_fis(class_fis, 2).expect("classifier");
-    let quality_fis = TskFis::new(vec![
-        TskRule::new(vec![g(0.0, 0.25), g(0.0, 0.25)], vec![0.0, 0.0, 1.0]).expect("rule"),
-        TskRule::new(vec![g(1.0, 0.25), g(1.0, 0.25)], vec![0.0, 0.0, 1.0]).expect("rule"),
-        TskRule::new(vec![g(0.0, 0.25), g(1.0, 0.25)], vec![0.0, 0.0, 0.0]).expect("rule"),
-        TskRule::new(vec![g(1.0, 0.25), g(0.0, 0.25)], vec![0.0, 0.0, 0.0]).expect("rule"),
-    ])
-    .expect("quality fis");
-    let model = CqmModel {
-        version: MODEL_VERSION,
-        measure: QualityMeasure::new(quality_fis).expect("measure"),
-        threshold,
-        note: note.into(),
-    };
-    ServedModel::new(classifier, model).expect("served model")
 }
 
 /// A tenant's expected answers: one row of 16 per generation (boot, and
@@ -155,24 +120,6 @@ fn judge(tally: &mut Tally, refs: &[TenantRef], own: usize, cue: usize, got: &Qu
     }
 }
 
-fn soak_client(addr: SocketAddr, session: u64) -> CqmClient {
-    CqmClient::connect(
-        addr,
-        ClientConfig {
-            connect_timeout: Duration::from_secs(1),
-            io_timeout: Duration::from_millis(300),
-            retries: 8,
-            backoff_base: Duration::from_millis(2),
-            backoff_cap: Duration::from_millis(40),
-            call_deadline: Duration::from_secs(20),
-            session_id: Some(session),
-            seed: 7,
-            ..ClientConfig::default()
-        },
-    )
-    .expect("connect through chaos proxy")
-}
-
 /// Drive one tenant's retrying client. Every outcome must be a delivered
 /// classification (judged against the references) or a typed error; a
 /// panic here fails the run.
@@ -183,7 +130,7 @@ fn drive(
     requests: usize,
     barrier: &Barrier,
 ) -> Tally {
-    let mut client = soak_client(addr, 0xF1E0 + tenant as u64);
+    let mut client = chaos_client(addr, 0xF1E0 + tenant as u64);
     let mut tally = Tally::default();
     barrier.wait();
     for i in 0..requests {
@@ -197,15 +144,7 @@ fn drive(
                     .push(start.elapsed().as_secs_f64() * 1e6);
                 judge(&mut tally, refs, tenant, cue_idx, &answer);
             }
-            Err(
-                ServeError::Remote(_)
-                | ServeError::RetriesExhausted { .. }
-                | ServeError::Io { .. }
-                | ServeError::Timeout(_)
-                | ServeError::Protocol(_)
-                | ServeError::ConnectionClosed
-                | ServeError::Decode(_),
-            ) => {
+            Err(e) if is_typed_failure(&e) => {
                 tally.typed_failures += 1;
                 tally
                     .latencies_micros
@@ -222,7 +161,7 @@ fn drive(
 /// transport error under chaos) — a delivered answer is judged against
 /// the healthy references, where it can only score as a leak or mismatch.
 fn probe_sick(addr: SocketAddr, refs: &[TenantRef], probes: u64, barrier: &Barrier) -> Tally {
-    let mut client = soak_client(addr, 0x51C4);
+    let mut client = chaos_client(addr, 0x51C4);
     let mut tally = Tally::default();
     barrier.wait();
     for i in 0..probes as usize {
@@ -245,15 +184,7 @@ fn probe_sick(addr: SocketAddr, refs: &[TenantRef], probes: u64, barrier: &Barri
                     tally.mismatched += 1;
                 }
             }
-            Err(
-                ServeError::Remote(_)
-                | ServeError::RetriesExhausted { .. }
-                | ServeError::Io { .. }
-                | ServeError::Timeout(_)
-                | ServeError::Protocol(_)
-                | ServeError::ConnectionClosed
-                | ServeError::Decode(_),
-            ) => {
+            Err(e) if is_typed_failure(&e) => {
                 tally.typed_failures += 1;
                 tally
                     .latencies_micros
@@ -288,89 +219,32 @@ fn disk_plan(seed: u64) -> DiskFaultPlan {
     }
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<u64> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
-fn usage() {
-    println!(
-        "fleetbench — multi-tenant isolation under combined chaos (writes BENCH_PR8.json)\n\
-         \n\
-         USAGE:\n\
-         \x20   fleetbench [OPTIONS]\n\
-         \n\
-         OPTIONS:\n\
-         \x20   --smoke           quick CI-sized run (8 tenants x 40 requests)\n\
-         \x20   --out <PATH>      output JSON path (default: BENCH_PR8.json)\n\
-         \x20   --tenants <N>     healthy tenants to drive (default: 8, minimum the gate accepts)\n\
-         \x20   --requests <N>    requests per tenant (default: 120, smoke: 40)\n\
-         \x20   --seed <N>        fault schedule seed (default: 0xF1EE7)\n\
-         \x20   -h, --help        print this help and exit\n\
-         \n\
-         EXIT CODES:\n\
-         \x20   0  baseline written and the isolation gate passed\n\
-         \x20   1  gate failed or the run errored\n\
-         \x20   2  unknown flag or malformed invocation"
-    );
-}
-
-/// Strict flag validation: every token must be a known flag or the value
-/// of the preceding value-taking flag. Unknown input is a usage error
-/// (exit 2), not a silent ignore.
-fn validate_args(args: &[String]) -> Result<(), String> {
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => i += 1,
-            "--out" | "--tenants" | "--requests" | "--seed" => {
-                if args.get(i + 1).is_none() {
-                    return Err(format!("flag {} is missing its value", args[i]));
-                }
-                i += 2;
-            }
-            other => return Err(format!("unknown flag {other:?}")),
-        }
-    }
-    Ok(())
-}
+const CLI: Cli = Cli {
+    bin: "fleetbench",
+    about: "multi-tenant isolation under combined chaos",
+    out: "BENCH_PR8.json",
+    smoke: "quick CI-sized run (8 tenants x 40 requests)",
+    flags: &[
+        Flag::count("--tenants", "healthy tenants; the gate needs >= 8", 8, 8),
+        Flag::count("--requests", "requests per tenant", 120, 40),
+        Flag::seed("--seed", "fault schedule seed", 0xF1EE7),
+    ],
+    gate: "the isolation gate",
+};
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        usage();
-        return ExitCode::SUCCESS;
-    }
-    if let Err(problem) = validate_args(&args) {
-        eprintln!("fleetbench: {problem}\n");
-        usage();
-        return ExitCode::from(2);
-    }
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_PR8.json".to_string());
-    let tenants = flag_value(&args, "--tenants").unwrap_or(8).max(1) as usize;
-    let requests =
-        flag_value(&args, "--requests").unwrap_or(if smoke { 40 } else { 120 }) as usize;
-    let seed = flag_value(&args, "--seed").unwrap_or(0xF1EE7);
+    let args = CLI.args();
+    let smoke = args.smoke;
+    let tenants = args.number("--tenants") as usize;
+    let requests = args.number("--requests") as usize;
+    let seed = args.number("--seed");
     let sick_probes = (requests as u64 / 4).max(1);
     let workers = 2usize;
     let max_active = 4usize;
     let net = net_plan(seed);
     let disk = disk_plan(seed);
 
-    println!(
-        "== fleetbench: multi-tenant isolation under combined chaos ({}) ==",
-        if smoke { "smoke" } else { "full" }
-    );
-    let cores = available_cores();
-    println!("available parallelism: {cores} core(s)");
+    let cores = CLI.banner(smoke);
     println!(
         "{tenants} tenant(s) x {requests} request(s) + {sick_probes} sick probe(s), \
          LRU {max_active}, {workers} worker(s), seed {seed}\n"
@@ -381,11 +255,10 @@ fn main() -> ExitCode {
     let refs: Vec<TenantRef> = (0..tenants)
         .map(|i| {
             let key = format!("t{i}");
-            let boot = model_with_threshold(THRESHOLD_LADDER[i % 8], &key);
+            let boot = tiny_model(THRESHOLD_LADDER[i % 8], &key);
             let mut gens = vec![reference_answers(&boot)];
             if i < swap_count {
-                let next =
-                    model_with_threshold(THRESHOLD_LADDER[(i + SWAP_SHIFT) % 8], &format!("{key}+"));
+                let next = tiny_model(THRESHOLD_LADDER[(i + SWAP_SHIFT) % 8], &format!("{key}+"));
                 gens.push(reference_answers(&next));
             }
             TenantRef { key, gens }
@@ -403,7 +276,7 @@ fn main() -> ExitCode {
     std::fs::create_dir_all(&dir).expect("store dir");
     {
         let seeder = CqmServer::start(
-            ModelSource::Fresh(model_with_threshold(0.5, "default")),
+            ModelSource::Fresh(tiny_model(0.5, "default")),
             ServerConfig {
                 fleet: FleetConfig {
                     store_dir: Some(dir.clone()),
@@ -414,7 +287,7 @@ fn main() -> ExitCode {
         )
         .expect("seed server");
         seeder
-            .install_model("sick", model_with_threshold(0.7, "sick"))
+            .install_model("sick", tiny_model(0.7, "sick"))
             .expect("install sick");
         seeder.shutdown().expect("seed shutdown");
     }
@@ -426,7 +299,7 @@ fn main() -> ExitCode {
 
     println!("[3/5] starting server, disk-fault injector and chaos proxy ...");
     let server = CqmServer::start(
-        ModelSource::Fresh(model_with_threshold(0.5, "default")),
+        ModelSource::Fresh(tiny_model(0.5, "default")),
         ServerConfig {
             workers,
             micro_batch: 4,
@@ -443,7 +316,7 @@ fn main() -> ExitCode {
     )
     .expect("start server");
     for (i, r) in refs.iter().enumerate() {
-        let model = model_with_threshold(THRESHOLD_LADDER[i % 8], &r.key);
+        let model = tiny_model(THRESHOLD_LADDER[i % 8], &r.key);
         server.install_model(&r.key, model).expect("install tenant");
     }
     let mut proxy = ChaosProxy::start(server.local_addr(), net).expect("start chaos proxy");
@@ -472,8 +345,10 @@ fn main() -> ExitCode {
             let mut landed = false;
             let mut last_err = String::new();
             for _attempt in 0..25 {
-                let next =
-                    model_with_threshold(THRESHOLD_LADDER[(i + SWAP_SHIFT) % 8], &format!("{}+", r.key));
+                let next = tiny_model(
+                    THRESHOLD_LADDER[(i + SWAP_SHIFT) % 8],
+                    &format!("{}+", r.key),
+                );
                 match server.swap_model(&r.key, next) {
                     Ok(_seq) => {
                         swaps_done += 1;
@@ -526,21 +401,8 @@ fn main() -> ExitCode {
         tenants: tenants as u64,
         requests_per_tenant: requests,
         sick_probes,
-        net_plan: ChaosPlanRecord {
-            warmup_ops: net.warmup_ops,
-            partial_p: net.partial_p,
-            latency_p: net.latency_p,
-            latency_micros: net.latency.as_micros() as u64,
-            corrupt_p: net.corrupt_p,
-            reset_p: net.reset_p,
-        },
-        disk_plan: DiskPlanRecord {
-            warmup_ops: disk.warmup_ops,
-            corrupt_p: disk.corrupt_p,
-            torn_p: disk.torn_p,
-            delay_p: disk.delay_p,
-            delay_micros: disk.delay.as_micros() as u64,
-        },
+        net_plan: (&net).into(),
+        disk_plan: (&disk).into(),
         issued,
         delivered,
         typed_failures,
@@ -578,36 +440,15 @@ fn main() -> ExitCode {
         elapsed.as_secs_f64() * 1e3
     );
 
-    let json = serde_json::to_string_pretty(&baseline).expect("serialize baseline");
-    std::fs::write(&out_path, &json).expect("write baseline file");
-    println!("\nwrote {out_path}");
-
-    // Validate and gate by re-parsing what was actually written.
-    let written = std::fs::read_to_string(&out_path).expect("read baseline back");
-    let parsed: FleetBaseline = match serde_json::from_str(&written) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("fleetbench: written JSON does not parse: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = parsed.validate() {
-        eprintln!("fleetbench: schema validation failed: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("schema validation: ok ({SCHEMA})");
-    match parsed.gate() {
-        Ok(()) => {
-            println!(
-                "fleet gate: ok (zero drops, zero leaks, zero mismatches, \
-                 {} tenants, {} live swaps)",
-                parsed.tenants, parsed.swaps
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("fleetbench: fleet gate failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    CLI.finish(&args.out, &baseline, SCHEMA, FleetBaseline::validate, |b| {
+        b.gate()
+            .map(|()| {
+                format!(
+                    "fleet gate: ok (zero drops, zero leaks, zero mismatches, \
+                     {} tenants, {} live swaps)",
+                    b.tenants, b.swaps
+                )
+            })
+            .map_err(|e| format!("fleet gate failed: {e}"))
+    })
 }

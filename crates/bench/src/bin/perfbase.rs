@@ -32,9 +32,10 @@
 use std::process::ExitCode;
 
 use cqm_anfis::{train_hybrid_with, Dataset, HybridConfig};
+use cqm_bench::harness::{write_json, Cli, Flag};
 use cqm_bench::perf::{
-    available_cores, time_best, GateOutcome, PerfBaseline, Section, ThreadTiming, SCHEMA,
-    SECTION_NAMES, THREAD_COUNTS,
+    time_best, GateOutcome, PerfBaseline, Section, ThreadTiming, SCHEMA, SECTION_NAMES,
+    THREAD_COUNTS,
 };
 use cqm_cluster::subtractive::{SubtractiveClustering, SubtractiveParams};
 use cqm_fuzzy::{MembershipFunction, TskFis, TskRule};
@@ -309,47 +310,28 @@ fn section_eval_batch_blocked(smoke: bool, reps: usize) -> Section {
     }
 }
 
+const CLI: Cli = Cli {
+    bin: "perfbase",
+    about: "performance baseline",
+    out: "BENCH_PERFBASE.json",
+    smoke: "CI-sized workloads + the perf gate",
+    flags: &[Flag::names(
+        "--section",
+        "run only this section; partial runs skip validation and the gate",
+        &SECTION_NAMES,
+    )],
+    gate: "(with --smoke) the perf gate",
+};
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        print_usage();
-        return ExitCode::SUCCESS;
-    }
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_PERFBASE.json".to_string());
-    let mut selected: Vec<String> = Vec::new();
-    for (i, a) in args.iter().enumerate() {
-        if a == "--section" {
-            match args.get(i + 1) {
-                Some(name) if SECTION_NAMES.contains(&name.as_str()) => {
-                    selected.push(name.clone());
-                }
-                Some(name) => {
-                    eprintln!(
-                        "perfbase: unknown section {name:?}; valid sections: {}",
-                        SECTION_NAMES.join(", ")
-                    );
-                    return ExitCode::from(2);
-                }
-                None => {
-                    eprintln!("perfbase: --section needs a name");
-                    return ExitCode::from(2);
-                }
-            }
-        }
-    }
+    let args = CLI.args();
+    let smoke = args.smoke;
+    let selected = args.names("--section");
     let run_all = selected.is_empty();
-    let want = |name: &str| run_all || selected.iter().any(|s| s == name);
+    let want = |name: &str| run_all || selected.contains(&name);
     let reps = if smoke { 4 } else { 3 };
 
-    println!("== perfbase: performance baseline ({}) ==", if smoke { "smoke" } else { "full" });
-    let cores = available_cores();
-    println!("available parallelism: {cores} core(s)");
+    let cores = CLI.banner(smoke);
     if cores == 1 {
         println!(
             "perfbase: WARNING: running on 1 core — multi-thread timings \
@@ -448,60 +430,29 @@ fn main() -> ExitCode {
         println!("blocked exact batch speedup (single thread): {speedup:.2}x");
     }
 
-    let json = serde_json::to_string_pretty(&baseline).expect("serialize baseline");
-    std::fs::write(&out_path, &json).expect("write baseline file");
-    println!("wrote {out_path}");
-
     if !run_all {
+        if let Err(e) = write_json(&args.out, &baseline) {
+            eprintln!("perfbase: {e}");
+            return ExitCode::FAILURE;
+        }
         println!(
             "perfbase: partial run (--section): schema validation and the \
              perf gate need the full section set, skipping both"
         );
         return ExitCode::SUCCESS;
     }
-
-    // Validate by re-parsing what was actually written.
-    let written = std::fs::read_to_string(&out_path).expect("read baseline back");
-    let parsed: PerfBaseline = match serde_json::from_str(&written) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("perfbase: written JSON does not parse: {e}");
-            return ExitCode::FAILURE;
+    CLI.finish(&args.out, &baseline, SCHEMA, PerfBaseline::validate, |b| {
+        if !b.smoke {
+            return Ok("perf gate: applies to --smoke runs only".into());
         }
-    };
-    if let Err(e) = parsed.validate() {
-        eprintln!("perfbase: schema validation failed: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("schema validation: ok ({SCHEMA})");
-
-    if smoke {
-        match parsed.gate() {
-            Ok(GateOutcome::Passed) => println!("perf gate: ok (thread scaling)"),
-            Ok(GateOutcome::ThreadGateSkipped { cores }) => {
-                println!(
-                    "perfbase: WARNING: thread-scaling gate SKIPPED — baseline \
-                     taken on {cores} core(s); multi-thread numbers in this file \
-                     are time-sliced and must not be read as scaling evidence"
-                );
-            }
-            Err(e) => {
-                eprintln!("perfbase: perf gate failed: {e}");
-                return ExitCode::FAILURE;
-            }
+        match b.gate() {
+            Ok(GateOutcome::Passed) => Ok("perf gate: ok (thread scaling)".into()),
+            Ok(GateOutcome::ThreadGateSkipped { cores }) => Ok(format!(
+                "perfbase: WARNING: thread-scaling gate SKIPPED — baseline \
+                 taken on {cores} core(s); multi-thread numbers in this file \
+                 are time-sliced and must not be read as scaling evidence"
+            )),
+            Err(e) => Err(format!("perf gate failed: {e}")),
         }
-    }
-    ExitCode::SUCCESS
-}
-
-fn print_usage() {
-    println!(
-        "usage: perfbase [--smoke] [--out FILE] [--section NAME]...\n\n\
-         --smoke          CI-sized workloads + the perf gate\n\
-         --out FILE       output path (default BENCH_PERFBASE.json)\n\
-         --section NAME   run only the named section(s); repeatable.\n\
-         \x20                valid: {}\n\
-         \x20                partial runs skip schema validation and the gate",
-        SECTION_NAMES.join(", ")
-    );
+    })
 }

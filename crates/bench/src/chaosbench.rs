@@ -47,10 +47,10 @@
 //! * `p50_micros` / `p99_micros` — full round-trip latency per logical
 //!   call as seen by the client, retries and backoff included.
 
+use cqm_resilience::NetFaultPlan;
 use serde::{Deserialize, Serialize};
 
-pub use crate::perf::available_cores;
-pub use crate::servebench::percentile_micros;
+use crate::harness::{check_header, check_percentiles};
 
 /// Schema identifier written to and expected in `BENCH_PR7.json`.
 pub const SCHEMA: &str = "cqm-bench/chaosbase/v1";
@@ -71,6 +71,19 @@ pub struct ChaosPlanRecord {
     pub corrupt_p: f64,
     /// Per-operation probability of a connection reset.
     pub reset_p: f64,
+}
+
+impl From<&NetFaultPlan> for ChaosPlanRecord {
+    fn from(plan: &NetFaultPlan) -> Self {
+        ChaosPlanRecord {
+            warmup_ops: plan.warmup_ops,
+            partial_p: plan.partial_p,
+            latency_p: plan.latency_p,
+            latency_micros: plan.latency.as_micros() as u64,
+            corrupt_p: plan.corrupt_p,
+            reset_p: plan.reset_p,
+        }
+    }
 }
 
 /// The complete `BENCH_PR7.json` document.
@@ -124,12 +137,7 @@ impl ChaosBaseline {
     ///
     /// Returns a human-readable description of the first violation.
     pub fn validate(&self) -> Result<(), String> {
-        if self.schema != SCHEMA {
-            return Err(format!("schema is {:?}, expected {SCHEMA:?}", self.schema));
-        }
-        if self.available_parallelism == 0 {
-            return Err("available_parallelism must be >= 1".into());
-        }
+        check_header(&self.schema, SCHEMA, self.available_parallelism)?;
         if self.workers == 0 || self.clients == 0 || self.requests_per_client == 0 {
             return Err("workers, clients and requests_per_client must be >= 1".into());
         }
@@ -163,18 +171,7 @@ impl ChaosBaseline {
                 self.delivered + self.typed_failures
             ));
         }
-        for (field, value) in [("p50_micros", self.p50_micros), ("p99_micros", self.p99_micros)] {
-            if !(value > 0.0 && value.is_finite()) {
-                return Err(format!("{field} {value} not positive finite"));
-            }
-        }
-        if self.p50_micros > self.p99_micros {
-            return Err(format!(
-                "percentiles out of order (p50 {} / p99 {})",
-                self.p50_micros, self.p99_micros
-            ));
-        }
-        Ok(())
+        check_percentiles(self.p50_micros, self.p99_micros)
     }
 
     /// The CI gate — the exactly-once contract under chaos:

@@ -61,11 +61,11 @@
 //!   (corrupt checkpoint seeded on disk) plus any transient disk-fault
 //!   quarantines; quarantine is per-tenant by construction.
 
+use cqm_resilience::DiskFaultPlan;
 use serde::{Deserialize, Serialize};
 
-pub use crate::chaosbench::ChaosPlanRecord;
-pub use crate::perf::available_cores;
-pub use crate::servebench::percentile_micros;
+use crate::chaosbench::ChaosPlanRecord;
+use crate::harness::{check_header, check_percentiles};
 
 /// Schema identifier written to and expected in `BENCH_PR8.json`.
 pub const SCHEMA: &str = "cqm-bench/fleetbase/v1";
@@ -84,6 +84,18 @@ pub struct DiskPlanRecord {
     pub delay_p: f64,
     /// Injected delay in microseconds when it fires.
     pub delay_micros: u64,
+}
+
+impl From<&DiskFaultPlan> for DiskPlanRecord {
+    fn from(plan: &DiskFaultPlan) -> Self {
+        DiskPlanRecord {
+            warmup_ops: plan.warmup_ops,
+            corrupt_p: plan.corrupt_p,
+            torn_p: plan.torn_p,
+            delay_p: plan.delay_p,
+            delay_micros: plan.delay.as_micros() as u64,
+        }
+    }
 }
 
 /// The complete `BENCH_PR8.json` document.
@@ -150,12 +162,7 @@ impl FleetBaseline {
     ///
     /// Returns a human-readable description of the first violation.
     pub fn validate(&self) -> Result<(), String> {
-        if self.schema != SCHEMA {
-            return Err(format!("schema is {:?}, expected {SCHEMA:?}", self.schema));
-        }
-        if self.available_parallelism == 0 {
-            return Err("available_parallelism must be >= 1".into());
-        }
+        check_header(&self.schema, SCHEMA, self.available_parallelism)?;
         if self.workers == 0 || self.max_active == 0 {
             return Err("workers and max_active must be >= 1".into());
         }
@@ -195,18 +202,7 @@ impl FleetBaseline {
                 self.mismatched, self.cross_tenant_leaks, self.delivered
             ));
         }
-        for (field, value) in [("p50_micros", self.p50_micros), ("p99_micros", self.p99_micros)] {
-            if !(value > 0.0 && value.is_finite()) {
-                return Err(format!("{field} {value} not positive finite"));
-            }
-        }
-        if self.p50_micros > self.p99_micros {
-            return Err(format!(
-                "percentiles out of order (p50 {} / p99 {})",
-                self.p50_micros, self.p99_micros
-            ));
-        }
-        Ok(())
+        check_percentiles(self.p50_micros, self.p99_micros)
     }
 
     /// The CI gate — bulkhead isolation and zero-drop hot swap under

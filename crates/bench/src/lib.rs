@@ -16,9 +16,23 @@
 //! | `ablation_cluster` | subtractive vs mountain structure identification |
 //! | `ablation_hybrid` | hybrid learning vs pure LSE initialisation |
 //!
-//! The `perfbase` binary ([`perf`]) backs the paper's "real-time" claim
-//! with FIS-evaluation and training timings; the served path is timed end
-//! to end and per layer by the repository benchmark under `perfbench/`.
+//! The gate binaries write a baseline JSON, re-read it, validate its schema
+//! and apply a gate, all through one [`harness`] (command line, banner,
+//! write → re-read → validate → gate):
+//!
+//! | binary | schema module | gate |
+//! |---|---|---|
+//! | `perfbase` | [`perf`] | clustering thread scaling (`--smoke` only) |
+//! | `chaosbench` | [`chaosbench`] | exactly-once under network chaos |
+//! | `fleetbench` | [`fleetbench`] | tenant isolation and zero-drop hot swap |
+//! | `adaptbench` | [`adaptbench`] | drift recovery through a validated live swap |
+//!
+//! The three soaks also share [`soak`]: the model they serve, their
+//! chaos-proxy client and what counts as a typed failure.
+//!
+//! `perfbase` backs the paper's "real-time" claim with FIS-evaluation and
+//! training timings; the served path is timed end to end and per layer by
+//! the repository benchmark under `perfbench/`.
 
 // lint: allow(PANIC_IN_LIB, file) -- experiment driver: abort loudly on setup failure instead of degrading
 
@@ -29,8 +43,9 @@ pub mod adaptbench;
 pub mod chaosbench;
 pub mod experiments;
 pub mod fleetbench;
+pub mod harness;
 pub mod perf;
-pub mod servebench;
+pub mod soak;
 
 use cqm_appliance::pen::{train_pen, PenBuild};
 use cqm_core::classifier::Classifier;

@@ -56,6 +56,8 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
+use crate::harness::check_header;
+
 /// Schema identifier written to and expected in the baseline JSON.
 pub const SCHEMA: &str = "cqm-bench/perfbase/v3";
 
@@ -138,12 +140,7 @@ impl PerfBaseline {
     ///
     /// Returns a human-readable description of the first violation.
     pub fn validate(&self) -> Result<(), String> {
-        if self.schema != SCHEMA {
-            return Err(format!("schema is {:?}, expected {SCHEMA:?}", self.schema));
-        }
-        if self.available_parallelism == 0 {
-            return Err("available_parallelism must be >= 1".into());
-        }
+        check_header(&self.schema, SCHEMA, self.available_parallelism)?;
         for name in SECTION_NAMES {
             let section = self
                 .section(name)
@@ -237,13 +234,6 @@ pub enum GateOutcome {
         /// Cores visible when the baseline was taken (always 1 today).
         cores: usize,
     },
-}
-
-/// Cores visible to this process (1 if the runtime cannot tell).
-pub fn available_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
 }
 
 /// Best-of-`reps` wall-clock milliseconds of `f`.

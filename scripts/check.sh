@@ -98,17 +98,6 @@ grep -q "^SUMMARY .*match=ok" /tmp/cqm_served.log || {
     exit 1
 }
 
-echo "==> serve load smoke (BENCH_PR5.json schema + answered-everything gate)"
-# loadgen --smoke drives a live server over TCP with concurrent connections,
-# writes the baseline JSON, re-reads it, validates the cqm-bench/servebase/v1
-# schema and applies the gate (every request answered, nonzero throughput);
-# see crates/bench/src/servebench.rs.
-./target/release/loadgen --smoke --out "$CRASH_DIR/BENCH_PR5.json"
-test -s "$CRASH_DIR/BENCH_PR5.json" || {
-    echo "check.sh: loadgen did not write the baseline JSON" >&2
-    exit 1
-}
-
 echo "==> chaos soak suite (exactly-once under scheduled network chaos)"
 cargo test -q --test chaos_net
 
@@ -179,16 +168,46 @@ for workload in single_closed batch_closed drift_adapt; do
     python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 2 --trace 1 > /dev/null
 done
 
-echo "==> bench binary arg hygiene (--help exits 0, unknown flag exits 2)"
-for bench in loadgen chaosbench fleetbench adaptbench; do
-    ./target/release/"$bench" --help > /dev/null || {
-        echo "check.sh: $bench --help should exit 0" >&2
-        exit 1
-    }
-    if ./target/release/"$bench" --definitely-not-a-flag > /dev/null 2>&1; then
-        echo "check.sh: $bench should reject unknown flags" >&2
+echo "==> bench binary arg hygiene (--help exits 0; malformed flags exit 2 and write nothing)"
+# Every gate binary parses its command line through crates/bench/src/harness.rs
+# before any work starts. Each rejected invocation runs in an empty directory,
+# which must still be empty afterwards (the default --out path is relative).
+HYGIENE_DIR="$CRASH_DIR/hygiene"
+BENCH_BIN="$PWD/target/release"
+mkdir -p "$HYGIENE_DIR"
+expect_exit() {
+    want=$1
+    bench=$2
+    shift 2
+    got=0
+    (cd "$HYGIENE_DIR" && "$BENCH_BIN/$bench" "$@") > /dev/null 2>&1 || got=$?
+    if [ "$got" -ne "$want" ]; then
+        echo "check.sh: $bench $* exited $got, expected $want" >&2
         exit 1
     fi
+}
+for bench in perfbase chaosbench fleetbench adaptbench; do
+    expect_exit 0 "$bench" --help
+    expect_exit 2 "$bench" --definitely-not-a-flag
+    expect_exit 2 "$bench" --out --smoke
 done
+expect_exit 2 perfbase --smoke --section
+for count in --clients --requests; do
+    expect_exit 2 chaosbench --smoke "$count" abc
+    expect_exit 2 chaosbench --smoke "$count" 0
+done
+for count in --tenants --requests; do
+    expect_exit 2 fleetbench --smoke "$count" abc
+    expect_exit 2 fleetbench --smoke "$count" 0
+done
+expect_exit 2 adaptbench --smoke --stationary abc
+expect_exit 2 adaptbench --smoke --stationary 0
+for bench in chaosbench fleetbench adaptbench; do
+    expect_exit 2 "$bench" --smoke --seed abc
+done
+if [ -n "$(ls -A "$HYGIENE_DIR")" ]; then
+    echo "check.sh: a rejected bench invocation wrote files: $(ls -A "$HYGIENE_DIR")" >&2
+    exit 1
+fi
 
 echo "check.sh: all gates passed"
