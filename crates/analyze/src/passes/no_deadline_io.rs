@@ -162,9 +162,9 @@ mod tests {
     #[test]
     fn out_of_scope_crates_ignored_by_default() {
         let src = "fn f() {\n    let s = std::net::TcpStream::connect(\"x:1\");\n    let _ = s;\n}\n";
-        let f = run_at("crates/bench/src/bin/loadgen.rs", src);
+        let f = run_at("crates/bench/src/bin/chaosbench.rs", src);
         assert!(f.is_empty());
-        let file = SourceFile::scan(Path::new("crates/bench/src/bin/loadgen.rs"), src);
+        let file = SourceFile::scan(Path::new("crates/bench/src/bin/chaosbench.rs"), src);
         let mut out = Vec::new();
         NoDeadlineIo::unrestricted().check(&file, &mut out);
         assert_eq!(out.len(), 1);

@@ -89,10 +89,9 @@ fn accumulate_sample(fis: &TskFis, x: &[f64], y: f64, acc: &mut PremiseGradients
                 continue; // underflow guard: w_j / F_ij would explode
             }
             let others = wj / fij;
-            if let Some((dmu, dsigma)) = mf.gaussian_grad(x[i]) {
-                acc.grads[j][i].0 += de_dwj * others * dmu;
-                acc.grads[j][i].1 += de_dwj * others * dsigma;
-            }
+            let (dmu, dsigma) = mf.gaussian_grad(x[i]);
+            acc.grads[j][i].0 += de_dwj * others * dmu;
+            acc.grads[j][i].1 += de_dwj * others * dsigma;
         }
     }
 }
@@ -166,10 +165,9 @@ pub fn apply_premise_step(fis: &mut TskFis, grads: &PremiseGradients, step: f64,
     let scale = step / norm;
     for (rule, rule_grads) in fis.rules_mut().iter_mut().zip(&grads.grads) {
         for (mf, &(gmu, gsigma)) in rule.antecedents_mut().iter_mut().zip(rule_grads) {
-            if let cqm_fuzzy::MembershipFunction::Gaussian { mu, sigma } = mf {
-                *mu -= scale * gmu;
-                *sigma = (*sigma - scale * gsigma).max(min_sigma);
-            }
+            let cqm_fuzzy::MembershipFunction::Gaussian { mu, sigma } = mf;
+            *mu -= scale * gmu;
+            *sigma = (*sigma - scale * gsigma).max(min_sigma);
         }
     }
 }
@@ -227,16 +225,12 @@ mod tests {
             // mu
             let mut fp = fis.clone();
             let mut fm = fis.clone();
-            if let cqm_fuzzy::MembershipFunction::Gaussian { mu, .. } =
-                &mut fp.rules_mut()[j].antecedents_mut()[0]
-            {
-                *mu += h;
-            }
-            if let cqm_fuzzy::MembershipFunction::Gaussian { mu, .. } =
-                &mut fm.rules_mut()[j].antecedents_mut()[0]
-            {
-                *mu -= h;
-            }
+            let cqm_fuzzy::MembershipFunction::Gaussian { mu, .. } =
+                &mut fp.rules_mut()[j].antecedents_mut()[0];
+            *mu += h;
+            let cqm_fuzzy::MembershipFunction::Gaussian { mu, .. } =
+                &mut fm.rules_mut()[j].antecedents_mut()[0];
+            *mu -= h;
             // E = ½ Σ e² so dE/dp = ½ d(sse)/dp
             let fd_mu = 0.5 * (sse(&fp) - sse(&fm)) / (2.0 * h);
             assert!(
@@ -248,16 +242,12 @@ mod tests {
             // sigma
             let mut fp = fis.clone();
             let mut fm = fis.clone();
-            if let cqm_fuzzy::MembershipFunction::Gaussian { sigma, .. } =
-                &mut fp.rules_mut()[j].antecedents_mut()[0]
-            {
-                *sigma += h;
-            }
-            if let cqm_fuzzy::MembershipFunction::Gaussian { sigma, .. } =
-                &mut fm.rules_mut()[j].antecedents_mut()[0]
-            {
-                *sigma -= h;
-            }
+            let cqm_fuzzy::MembershipFunction::Gaussian { sigma, .. } =
+                &mut fp.rules_mut()[j].antecedents_mut()[0];
+            *sigma += h;
+            let cqm_fuzzy::MembershipFunction::Gaussian { sigma, .. } =
+                &mut fm.rules_mut()[j].antecedents_mut()[0];
+            *sigma -= h;
             let fd_sigma = 0.5 * (sse(&fp) - sse(&fm)) / (2.0 * h);
             assert!(
                 (g.grads[j][0].1 - fd_sigma).abs() < 1e-5,
@@ -282,11 +272,9 @@ mod tests {
         let fis0 = fis_2rule();
         // Perturb the premises, then check one descent step helps.
         let mut fis = fis0.clone();
-        if let cqm_fuzzy::MembershipFunction::Gaussian { mu, .. } =
-            &mut fis.rules_mut()[0].antecedents_mut()[0]
-        {
-            *mu += 0.15;
-        }
+        let cqm_fuzzy::MembershipFunction::Gaussian { mu, .. } =
+            &mut fis.rules_mut()[0].antecedents_mut()[0];
+        *mu += 0.15;
         let d = dataset_from(&fis0, 30);
         let g = premise_gradients(&fis, &d).unwrap();
         let before = g.sse;
@@ -302,13 +290,9 @@ mod tests {
         g.grads[0][0] = (0.0, 1.0); // push sigma down hard
         g.samples = 1;
         apply_premise_step(&mut fis, &g, 10.0, 1e-3);
-        if let cqm_fuzzy::MembershipFunction::Gaussian { sigma, .. } =
-            &fis.rules()[0].antecedents()[0]
-        {
-            assert!(*sigma >= 1e-3);
-        } else {
-            panic!("expected gaussian");
-        }
+        let cqm_fuzzy::MembershipFunction::Gaussian { sigma, .. } =
+            &fis.rules()[0].antecedents()[0];
+        assert!(*sigma >= 1e-3);
     }
 
     #[test]

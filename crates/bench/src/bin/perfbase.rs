@@ -267,7 +267,6 @@ fn section_eval_batch_blocked(smoke: bool, reps: usize) -> Section {
         .map(|v| v.into_iter().map(|x| x * 0.4).collect::<Vec<f64>>())
         .collect::<Vec<_>>();
     let kernel = fis.kernel();
-    assert!(kernel.is_gaussian_only(), "trained FIS must be Gaussian-only");
 
     let mut scratch = kernel.scratch();
     let reference: Vec<f64> = inputs

@@ -51,20 +51,15 @@ fn main() {
     // balanced (the paper's hypothetical).
     for (r_frac, w_frac) in [(8usize, 1usize), (4, 1), (2, 1), (1, 1)] {
         // Build a subsampled training set with the requested ratio.
-        let per_unit = wrongs.len() / w_frac;
-        let n_wrong = per_unit * w_frac;
-        let n_right = (per_unit * r_frac).min(rights.len());
+        let (n_right, n_wrong) = mix_sizes(rights.len(), wrongs.len(), r_frac, w_frac);
         let mut cues: Vec<Vec<f64>> = Vec::new();
         let mut truth: Vec<ClassId> = Vec::new();
-        let right_step = (rights.len() as f64 / n_right as f64).max(1.0);
-        for i in 0..n_right {
-            let (c, l) = &rights[(i as f64 * right_step) as usize % rights.len()];
-            cues.push(c.clone());
-            truth.push(*l);
-        }
-        for (c, l) in wrongs.iter().take(n_wrong) {
-            cues.push(c.clone());
-            truth.push(*l);
+        for (pool, n) in [(&rights, n_right), (&wrongs, n_wrong)] {
+            for i in spread(pool.len(), n) {
+                let (c, l) = &pool[i];
+                cues.push(c.clone());
+                truth.push(*l);
+            }
         }
         match train_cqm(&classifier, &cues, &truth, &CqmTrainingConfig::default()) {
             Ok(trained) => println!(
@@ -78,4 +73,52 @@ fn main() {
         }
     }
     println!("\nexpected shape: threshold decreases toward ~0.5 as the mix balances");
+}
+
+/// Sample counts `(right, wrong)` for an `r:w` mix: the largest set the
+/// `rights` and `wrongs` pools can supply in exactly that ratio.
+fn mix_sizes(rights: usize, wrongs: usize, r: usize, w: usize) -> (usize, usize) {
+    let per_unit = (wrongs / w).min(rights / r);
+    (per_unit * r, per_unit * w)
+}
+
+/// `n` indices spread evenly over a pool of `len` samples (`n <= len`).
+fn spread(len: usize, n: usize) -> impl Iterator<Item = usize> {
+    let step = len as f64 / n as f64;
+    (0..n).map(move |i| (i as f64 * step) as usize)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_mix_has_the_ratio_it_names() {
+        // The corpus split the binary trains on: 1918 right, 518 wrong.
+        for (r, w) in [(8, 1), (4, 1), (2, 1), (1, 1)] {
+            let (n_right, n_wrong) = mix_sizes(1918, 518, r, w);
+            assert_eq!(n_right * w, n_wrong * r, "{r}:{w} gave {n_right}:{n_wrong}");
+            assert!(
+                n_right <= 1918 && n_wrong <= 518,
+                "{r}:{w} overdraws a pool"
+            );
+        }
+        assert_eq!(mix_sizes(1918, 518, 8, 1), (1912, 239));
+        assert_eq!(mix_sizes(1918, 518, 1, 1), (518, 518));
+    }
+
+    #[test]
+    fn spread_covers_the_pool_without_repeats() {
+        let picked: Vec<usize> = spread(518, 239).collect();
+        assert_eq!(picked.len(), 239);
+        assert!(
+            picked.windows(2).all(|p| p[0] < p[1]),
+            "strictly increasing"
+        );
+        assert!(*picked.last().unwrap() > 500, "reaches the end of the pool");
+        assert_eq!(
+            spread(518, 518).collect::<Vec<_>>(),
+            (0..518).collect::<Vec<_>>()
+        );
+    }
 }

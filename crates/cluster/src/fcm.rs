@@ -4,8 +4,8 @@
 //! cluster count up front, which is exactly why the paper's automated
 //! construction does not use it (§2.2.1: "Since there is no knowledge about
 //! how many clusters there are, an algorithm is needed that determines the
-//! number automatically"). It remains useful as a refinement step and in the
-//! validity-index experiments.
+//! number automatically"). The ABL-CLUST ablation (`ablation_cluster`) runs
+//! it with the cluster count handed to it, as the partitional baseline.
 
 // lint: allow(PANIC_IN_LIB, file) -- data/center shapes validated by check_data at entry; membership rows sized to k
 

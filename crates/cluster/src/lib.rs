@@ -12,11 +12,11 @@
 //!   candidate center, no prior cluster count, parameters per Chiu (1997).
 //! * [`mountain`] — Yager–Filev mountain clustering on a regular grid (the
 //!   rejected alternative; kept for the ABL-CLUST ablation).
-//! * [`fcm`] — fuzzy c-means, the classic partitional baseline.
+//! * [`fcm`] — fuzzy c-means, the classic partitional baseline (compared in
+//!   the ABL-CLUST ablation, which hands it the cluster count).
 //! * [`kmeans`] — crisp k-means (used as an initializer and sanity baseline).
 //! * [`normalize`] — affine mapping of data into the unit hypercube, which
 //!   both density methods require to make their radii meaningful.
-//! * [`validity`] — partition validity indices for choosing cluster counts.
 //!
 //! ```
 //! use cqm_cluster::subtractive::{SubtractiveClustering, SubtractiveParams};
@@ -41,7 +41,6 @@ pub mod kmeans;
 pub mod mountain;
 pub mod normalize;
 pub mod subtractive;
-pub mod validity;
 
 pub use subtractive::{SubtractiveClustering, SubtractiveParams};
 

@@ -6,10 +6,7 @@
 //! smart appliance evaluates the same FIS millions of times, so this module
 //! flattens the rule base once into contiguous slabs:
 //!
-//! * `mu` / `sigma` — rule-major Gaussian parameters, `m·n` each (used when
-//!   every antecedent is Gaussian — the paper's systems always are);
-//! * `antecedents` — the general rule-major membership slab, the fallback
-//!   that keeps the kernel exact for mixed shapes;
+//! * `mu` / `sigma` — rule-major Gaussian parameters, `m·n` each;
 //! * `consequents` — rule-major `m·(n+1)` linear coefficients.
 //!
 //! [`TskKernel::eval_into`] then runs the full inference with **zero heap
@@ -20,7 +17,7 @@
 //!
 //! ## Blocked lanes (DESIGN.md §9)
 //!
-//! Batch sweeps over a Gaussian-only kernel run **rule-major blocked**:
+//! Batch sweeps run **rule-major blocked**:
 //! input rows are processed in blocks of [`LANES`] (transposed once into
 //! scratch), so each `mu`/`sigma`/`consequents` cache line is loaded once
 //! per block instead of once per row, and the per-lane arithmetic is
@@ -39,8 +36,7 @@ use cqm_math::lanes::{F64x4, LANES};
 use cqm_parallel::WorkerPool;
 
 use crate::membership::MembershipFunction;
-use crate::tnorm::TNorm;
-use crate::tsk::TskFis;
+use crate::tsk::{product, TskFis};
 use crate::{FuzzyError, Result};
 
 /// Input rows per parallel work item in [`TskKernel::eval_batch_with`].
@@ -94,15 +90,10 @@ impl TskScratch {
 pub struct TskKernel {
     n_inputs: usize,
     n_rules: usize,
-    tnorm: TNorm,
-    /// Rule-major Gaussian centers, `m·n`; meaningful iff `gaussian_only`.
+    /// Rule-major Gaussian centers, `m·n`.
     mu: Vec<f64>,
-    /// Rule-major Gaussian widths, `m·n`; meaningful iff `gaussian_only`.
+    /// Rule-major Gaussian widths, `m·n`.
     sigma: Vec<f64>,
-    /// Whether every antecedent is Gaussian (enables the slab fast path).
-    gaussian_only: bool,
-    /// Rule-major antecedent slab, `m·n` — the exact fallback path.
-    antecedents: Vec<MembershipFunction>,
     /// Rule-major consequent slab, `m·(n+1)`.
     consequents: Vec<f64>,
 }
@@ -115,32 +106,20 @@ impl TskKernel {
         let m = fis.rule_count();
         let mut mu = Vec::with_capacity(m * n);
         let mut sigma = Vec::with_capacity(m * n);
-        let mut antecedents = Vec::with_capacity(m * n);
         let mut consequents = Vec::with_capacity(m * (n + 1));
-        let mut gaussian_only = true;
         for rule in fis.rules() {
             for mf in rule.antecedents() {
-                if let MembershipFunction::Gaussian { mu: m_, sigma: s_ } = *mf {
-                    mu.push(m_);
-                    sigma.push(s_);
-                } else {
-                    gaussian_only = false;
-                    mu.push(0.0);
-                    sigma.push(1.0);
-                }
-                // lint: allow(HOT_LOOP_ALLOC) -- one-time kernel construction, bounded by rule count
-                antecedents.push(mf.clone());
+                let MembershipFunction::Gaussian { mu: m_, sigma: s_ } = *mf;
+                mu.push(m_);
+                sigma.push(s_);
             }
             consequents.extend_from_slice(rule.consequent());
         }
         TskKernel {
             n_inputs: n,
             n_rules: m,
-            tnorm: fis.tnorm(),
             mu,
             sigma,
-            gaussian_only,
-            antecedents,
             consequents,
         }
     }
@@ -153,11 +132,6 @@ impl TskKernel {
     /// Number of rules `m`.
     pub fn rule_count(&self) -> usize {
         self.n_rules
-    }
-
-    /// Whether the Gaussian slab fast path is active.
-    pub fn is_gaussian_only(&self) -> bool {
-        self.gaussian_only
     }
 
     /// A [`TskScratch`] with every buffer pre-sized for this kernel, so
@@ -189,30 +163,17 @@ impl TskKernel {
         let n = self.n_inputs;
         scratch.firing.clear();
         scratch.firing.reserve_exact(self.n_rules);
-        if self.gaussian_only {
-            for j in 0..self.n_rules {
-                let base = j * n;
-                let (mus, sigmas) = (&self.mu[base..base + n], &self.sigma[base..base + n]);
-                let mut w = 1.0;
-                for ((&x, &mu), &sig) in v.iter().zip(mus).zip(sigmas) {
-                    // Exactly MembershipFunction::eval for the Gaussian arm.
-                    let z = (x - mu) / sig;
-                    let f = fastexp::exp_exact(-0.5 * z * z);
-                    w = self.tnorm.apply(w, f);
-                }
-                scratch.firing.push(w);
+        for j in 0..self.n_rules {
+            let base = j * n;
+            let (mus, sigmas) = (&self.mu[base..base + n], &self.sigma[base..base + n]);
+            let mut w = 1.0;
+            for ((&x, &mu), &sig) in v.iter().zip(mus).zip(sigmas) {
+                // Exactly MembershipFunction::eval.
+                let z = (x - mu) / sig;
+                let f = fastexp::exp_exact(-0.5 * z * z);
+                w = product(w, f);
             }
-        } else {
-            for j in 0..self.n_rules {
-                let base = j * n;
-                let w = self.tnorm.fold(
-                    self.antecedents[base..base + n]
-                        .iter()
-                        .zip(v)
-                        .map(|(mf, &x)| mf.eval(x)),
-                );
-                scratch.firing.push(w);
-            }
+            scratch.firing.push(w);
         }
         self.defuzz(v, &scratch.firing)
     }
@@ -242,8 +203,8 @@ impl TskKernel {
     /// Evaluate a small batch serially into `out` — the micro-batch entry
     /// point sized for request batches (network services coalescing a few
     /// dozen in-flight requests), where pool dispatch would cost more than
-    /// the sweep itself. Gaussian-only kernels run the rule-major blocked
-    /// lane path; `out` is cleared, `reserve_exact`-sized and refilled with
+    /// the sweep itself. Full blocks run the rule-major blocked lane path;
+    /// `out` is cleared, `reserve_exact`-sized and refilled with
     /// one output per row, and beyond first-use buffer growth the sweep
     /// performs zero heap allocations in the steady state (none at all
     /// with a [`TskKernel::scratch`]-sized scratch). Results are
@@ -264,12 +225,6 @@ impl TskKernel {
     ) -> Result<()> {
         out.clear();
         out.reserve_exact(inputs.len());
-        if !self.gaussian_only {
-            for v in inputs {
-                out.push(self.eval_into(v, scratch)?);
-            }
-            return Ok(());
-        }
         let mut i = 0;
         while i < inputs.len() {
             let end = i + LANES;
@@ -333,7 +288,7 @@ impl TskKernel {
                 for ((&x, &mu), &sig) in row.iter().zip(mus).zip(sigmas) {
                     let z = (x - mu) / sig;
                     let f = fastexp::exp_exact(-0.5 * z * z);
-                    w = self.tnorm.apply(w, f);
+                    w = product(w, f);
                 }
                 *wl = w;
             }
@@ -445,25 +400,6 @@ mod tests {
         .unwrap()
     }
 
-    fn mixed_fis() -> TskFis {
-        TskFis::new(vec![
-            TskRule::new(
-                vec![
-                    MembershipFunction::triangular(-1.0, 0.0, 1.0).unwrap(),
-                    gaussian(0.0, 0.5),
-                ],
-                vec![1.0, 2.0, 0.0],
-            )
-            .unwrap(),
-            TskRule::new(
-                vec![gaussian(1.0, 0.5), MembershipFunction::sigmoid(2.0, 0.5).unwrap()],
-                vec![0.5, -1.0, 0.25],
-            )
-            .unwrap(),
-        ])
-        .unwrap()
-    }
-
     fn grid() -> Vec<Vec<f64>> {
         let mut g = Vec::new();
         for i in 0..17 {
@@ -478,20 +414,6 @@ mod tests {
     fn kernel_matches_fis_bitwise_gaussian() {
         let fis = gaussian_fis();
         let kernel = fis.kernel();
-        assert!(kernel.is_gaussian_only());
-        let mut scratch = TskScratch::new();
-        for v in grid() {
-            let a = fis.eval(&v).unwrap();
-            let b = kernel.eval_into(&v, &mut scratch).unwrap();
-            assert_eq!(a.to_bits(), b.to_bits(), "at {v:?}");
-        }
-    }
-
-    #[test]
-    fn kernel_matches_fis_bitwise_mixed_shapes() {
-        let fis = mixed_fis();
-        let kernel = fis.kernel();
-        assert!(!kernel.is_gaussian_only());
         let mut scratch = TskScratch::new();
         for v in grid() {
             let a = fis.eval(&v).unwrap();
@@ -618,36 +540,6 @@ mod tests {
     }
 
     #[test]
-    fn blocked_non_product_tnorm_matches_row_wise() {
-        let fis = TskFis::new(vec![
-            TskRule::new(
-                vec![gaussian(0.0, 0.3), gaussian(1.0, 0.5)],
-                vec![1.0, -0.5, 0.2],
-            )
-            .unwrap(),
-            TskRule::new(
-                vec![gaussian(1.0, 0.4), gaussian(0.0, 0.25)],
-                vec![-2.0, 0.75, 1.1],
-            )
-            .unwrap(),
-        ])
-        .unwrap()
-        .with_tnorm(TNorm::Minimum);
-        let kernel = fis.kernel();
-        let inputs = grid();
-        let mut scratch = kernel.scratch();
-        let mut out = Vec::new();
-        kernel
-            .eval_batch_into(&inputs, &mut scratch, &mut out)
-            .unwrap();
-        let mut row_scratch = TskScratch::new();
-        for (v, got) in inputs.iter().zip(&out) {
-            let want = kernel.eval_into(v, &mut row_scratch).unwrap();
-            assert_eq!(got.to_bits(), want.to_bits(), "at {v:?}");
-        }
-    }
-
-    #[test]
     fn batch_stops_at_first_bad_row_mid_block() {
         let fis = gaussian_fis();
         let kernel = fis.kernel();
@@ -679,7 +571,7 @@ mod tests {
     #[test]
     fn scratch_is_reusable_across_kernels() {
         let g = gaussian_fis();
-        let m = mixed_fis();
+        let m = TskFis::new(g.rules()[..2].to_vec()).unwrap();
         let (kg, km) = (g.kernel(), m.kernel());
         let mut scratch = TskScratch::with_rules(3);
         let v = vec![0.25, 0.5];

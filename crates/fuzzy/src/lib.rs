@@ -1,19 +1,17 @@
 //! # cqm-fuzzy — fuzzy inference substrate
 //!
-//! Implements the fuzzy-systems machinery the paper builds on:
+//! Implements the one fuzzy system the paper builds on (§2.1.2):
 //!
-//! * [`membership`] — parametric membership functions. The paper's systems
-//!   use non-linear **Gaussian** functions `F_ij(v_i) = exp(−(v_i−µ_ij)² /
-//!   (2σ_ij²))` (§2.1.2); triangular, trapezoidal, generalized-bell and
-//!   sigmoidal shapes are provided for the Mamdani substrate and ablations.
+//! * [`membership`] — the non-linear **Gaussian** membership function
+//!   `F_ij(v_i) = exp(−(v_i−µ_ij)² / (2σ_ij²))` and its analytic gradient.
 //! * [`tsk`] — the first-order **Takagi–Sugeno–Kang FIS**: product-T-norm
 //!   antecedents, linear consequents `f_j(v) = a_1j v_1 + … + a_(n+1)j`,
 //!   weighted-sum-average projection (§2.1.2). This exact structure is used
 //!   twice in the paper: once as the AwarePen context classifier and once as
 //!   the quality system `S~_Q`.
-//! * [`mamdani`] — a Mamdani-type FIS with max-min composition and a choice
-//!   of [`defuzz`] defuzzifiers; related context-reasoning systems (paper §4, its reference \[4\])
-//!   use this style, and it serves as a comparison substrate.
+//! * [`kernel`] — a struct-of-arrays evaluator of the same system,
+//!   bit-identical to [`TskFis::eval`], allocation-free in the steady state
+//!   and blocked for batches (DESIGN.md §9).
 //! * [`linguistic`] — verbalization of rules in the paper's linguistic form:
 //!   `IF F_1j(v_1) AND … AND F_(n+1)j(c) THEN f_j(v_Q)`.
 //!
@@ -44,13 +42,9 @@
 // `!(x > 0.0)` is the intentional NaN-rejecting guard in evaluation code.
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 
-pub mod builder;
-pub mod defuzz;
 pub mod kernel;
 pub mod linguistic;
-pub mod mamdani;
 pub mod membership;
-pub mod tnorm;
 pub mod tsk;
 
 pub use kernel::{TskKernel, TskScratch};

@@ -1,15 +1,19 @@
-//! Parametric membership functions with analytic derivatives.
+//! The Gaussian membership function with analytic derivatives.
 //!
 //! The paper's FISs use Gaussian memberships exclusively (§2.1.2); ANFIS
 //! hybrid learning (§2.2.4) additionally needs the partial derivatives of the
 //! membership value with respect to its parameters, which are provided here
-//! in closed form for the Gaussian shape.
+//! in closed form.
 
 use serde::{Deserialize, Serialize};
 
 use crate::{FuzzyError, Result};
 
-/// A parametric membership function `F: ℝ → [0, 1]`.
+/// A Gaussian membership function `F: ℝ → [0, 1]`.
+///
+/// The paper's only shape. It stays an enum so the serialized form is
+/// `{"Gaussian":{"mu":…,"sigma":…}}`, the form every checkpoint and served
+/// model embeds.
 ///
 /// ```
 /// use cqm_fuzzy::membership::MembershipFunction;
@@ -25,42 +29,6 @@ pub enum MembershipFunction {
         mu: f64,
         /// Width (strictly positive).
         sigma: f64,
-    },
-    /// Triangle with feet `a`, `c` and apex `b`.
-    Triangular {
-        /// Left foot.
-        a: f64,
-        /// Apex.
-        b: f64,
-        /// Right foot.
-        c: f64,
-    },
-    /// Trapezoid with feet `a`, `d` and plateau `[b, c]`.
-    Trapezoidal {
-        /// Left foot.
-        a: f64,
-        /// Plateau start.
-        b: f64,
-        /// Plateau end.
-        c: f64,
-        /// Right foot.
-        d: f64,
-    },
-    /// Generalized bell `1 / (1 + |(x−c)/a|^(2b))`.
-    Bell {
-        /// Half-width.
-        a: f64,
-        /// Slope exponent.
-        b: f64,
-        /// Center.
-        c: f64,
-    },
-    /// Sigmoid `1 / (1 + exp(−a (x−c)))`.
-    Sigmoid {
-        /// Slope.
-        a: f64,
-        /// Inflection point.
-        c: f64,
     },
 }
 
@@ -87,158 +55,39 @@ impl MembershipFunction {
         Ok(MembershipFunction::Gaussian { mu, sigma })
     }
 
-    /// Triangular membership.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FuzzyError::InvalidParameter`] unless `a <= b <= c` with
-    /// `a < c`.
-    pub fn triangular(a: f64, b: f64, c: f64) -> Result<Self> {
-        if !(a <= b && b <= c && a < c) {
-            return Err(FuzzyError::InvalidParameter {
-                name: "triangular a<=b<=c",
-                value: b,
-            });
-        }
-        Ok(MembershipFunction::Triangular { a, b, c })
-    }
-
-    /// Trapezoidal membership.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FuzzyError::InvalidParameter`] unless `a <= b <= c <= d`
-    /// with `a < d`.
-    pub fn trapezoidal(a: f64, b: f64, c: f64, d: f64) -> Result<Self> {
-        if !(a <= b && b <= c && c <= d && a < d) {
-            return Err(FuzzyError::InvalidParameter {
-                name: "trapezoidal a<=b<=c<=d",
-                value: b,
-            });
-        }
-        Ok(MembershipFunction::Trapezoidal { a, b, c, d })
-    }
-
-    /// Generalized bell membership.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FuzzyError::InvalidParameter`] unless `a > 0` and `b > 0`.
-    pub fn bell(a: f64, b: f64, c: f64) -> Result<Self> {
-        if !(a.is_finite() && a > 0.0) {
-            return Err(FuzzyError::InvalidParameter { name: "a", value: a });
-        }
-        if !(b.is_finite() && b > 0.0) {
-            return Err(FuzzyError::InvalidParameter { name: "b", value: b });
-        }
-        Ok(MembershipFunction::Bell { a, b, c })
-    }
-
-    /// Sigmoid membership.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FuzzyError::InvalidParameter`] if `a` or `c` is not finite.
-    pub fn sigmoid(a: f64, c: f64) -> Result<Self> {
-        if !a.is_finite() {
-            return Err(FuzzyError::InvalidParameter { name: "a", value: a });
-        }
-        if !c.is_finite() {
-            return Err(FuzzyError::InvalidParameter { name: "c", value: c });
-        }
-        Ok(MembershipFunction::Sigmoid { a, c })
-    }
-
     /// Membership degree at `x`, always in `[0, 1]`.
     pub fn eval(&self, x: f64) -> f64 {
         if cfg!(feature = "strict-math") {
             debug_assert!(!x.is_nan(), "membership eval: NaN input");
         }
-        match *self {
-            MembershipFunction::Gaussian { mu, sigma } => {
-                let z = (x - mu) / sigma;
-                (-0.5 * z * z).exp()
-            }
-            MembershipFunction::Triangular { a, b, c } => {
-                if x <= a || x >= c {
-                    // The apex may coincide with a foot (right-angled
-                    // triangle); the apex itself still has membership 1.
-                    if x == b {
-                        1.0
-                    } else {
-                        0.0
-                    }
-                } else if x == b {
-                    1.0
-                } else if x < b {
-                    (x - a) / (b - a)
-                } else {
-                    (c - x) / (c - b)
-                }
-            }
-            MembershipFunction::Trapezoidal { a, b, c, d } => {
-                if (b..=c).contains(&x) {
-                    1.0
-                } else if x <= a || x >= d {
-                    0.0
-                } else if x < b {
-                    (x - a) / (b - a)
-                } else {
-                    (d - x) / (d - c)
-                }
-            }
-            MembershipFunction::Bell { a, b, c } => {
-                let z = ((x - c) / a).abs();
-                1.0 / (1.0 + z.powf(2.0 * b))
-            }
-            MembershipFunction::Sigmoid { a, c } => 1.0 / (1.0 + (-a * (x - c)).exp()),
-        }
+        let MembershipFunction::Gaussian { mu, sigma } = *self;
+        let z = (x - mu) / sigma;
+        (-0.5 * z * z).exp()
     }
 
-    /// Partial derivatives `(∂F/∂µ, ∂F/∂σ)` of a Gaussian membership at `x`,
-    /// used by the ANFIS backward pass. Returns `None` for non-Gaussian
-    /// shapes (only Gaussians are tuned by hybrid learning in this
-    /// reproduction, matching the paper).
+    /// Partial derivatives `(∂F/∂µ, ∂F/∂σ)` at `x`, used by the ANFIS
+    /// backward pass.
     // lint: allow(ASSERT_DENSITY) -- gradients are defined for all real x; eval guards NaN under strict-math
-    pub fn gaussian_grad(&self, x: f64) -> Option<(f64, f64)> {
-        match *self {
-            MembershipFunction::Gaussian { mu, sigma } => {
-                let f = self.eval(x);
-                let d = x - mu;
-                let dmu = f * d / (sigma * sigma);
-                let dsigma = f * d * d / (sigma * sigma * sigma);
-                Some((dmu, dsigma))
-            }
-            _ => None,
-        }
+    pub fn gaussian_grad(&self, x: f64) -> (f64, f64) {
+        let MembershipFunction::Gaussian { mu, sigma } = *self;
+        let f = self.eval(x);
+        let d = x - mu;
+        let dmu = f * d / (sigma * sigma);
+        let dsigma = f * d * d / (sigma * sigma * sigma);
+        (dmu, dsigma)
     }
 
-    /// The center of the membership function (apex / plateau midpoint /
-    /// inflection point), used for rule ordering and verbalization.
+    /// The center `µ`, used for rule ordering and verbalization.
     pub fn center(&self) -> f64 {
-        match *self {
-            MembershipFunction::Gaussian { mu, .. } => mu,
-            MembershipFunction::Triangular { b, .. } => b,
-            MembershipFunction::Trapezoidal { b, c, .. } => 0.5 * (b + c),
-            MembershipFunction::Bell { c, .. } => c,
-            MembershipFunction::Sigmoid { c, .. } => c,
-        }
+        let MembershipFunction::Gaussian { mu, .. } = *self;
+        mu
     }
 }
 
 impl std::fmt::Display for MembershipFunction {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match *self {
-            MembershipFunction::Gaussian { mu, sigma } => {
-                write!(f, "gauss(mu={mu:.4}, sigma={sigma:.4})")
-            }
-            MembershipFunction::Triangular { a, b, c } => write!(f, "tri({a:.3},{b:.3},{c:.3})"),
-            MembershipFunction::Trapezoidal { a, b, c, d } => {
-                write!(f, "trap({a:.3},{b:.3},{c:.3},{d:.3})")
-            }
-            MembershipFunction::Bell { a, b, c } => write!(f, "bell(a={a:.3},b={b:.3},c={c:.3})"),
-            MembershipFunction::Sigmoid { a, c } => write!(f, "sig(a={a:.3},c={c:.3})"),
-        }
+        let MembershipFunction::Gaussian { mu, sigma } = *self;
+        write!(f, "gauss(mu={mu:.4}, sigma={sigma:.4})")
     }
 }
 
@@ -253,11 +102,11 @@ mod tests {
     #[test]
     fn gaussian_shape() {
         let g = MembershipFunction::gaussian(2.0, 0.5).unwrap();
-        assert_eq!(g.eval(2.0), 1.0);
+        assert_eq!(g.eval(2.0).to_bits(), 1.0f64.to_bits());
         // One sigma out: exp(-1/2).
         assert!(close(g.eval(2.5), (-0.5f64).exp(), 1e-15));
         assert!(close(g.eval(1.5), g.eval(2.5), 1e-15));
-        assert_eq!(g.center(), 2.0);
+        assert_eq!(g.center().to_bits(), 2.0f64.to_bits());
     }
 
     #[test]
@@ -274,7 +123,7 @@ mod tests {
         let sigma = 0.25;
         let g = MembershipFunction::gaussian(mu, sigma).unwrap();
         for &x in &[0.0, 0.3, 0.4, 0.9, -1.0] {
-            let (dmu, dsigma) = g.gaussian_grad(x).unwrap();
+            let (dmu, dsigma) = g.gaussian_grad(x);
             let h = 1e-7;
             let gp = MembershipFunction::gaussian(mu + h, sigma).unwrap();
             let gm = MembershipFunction::gaussian(mu - h, sigma).unwrap();
@@ -284,85 +133,6 @@ mod tests {
             let fd_sigma = (gp.eval(x) - gm.eval(x)) / (2.0 * h);
             assert!(close(dmu, fd_mu, 1e-6), "dmu at x={x}");
             assert!(close(dsigma, fd_sigma, 1e-6), "dsigma at x={x}");
-        }
-    }
-
-    #[test]
-    fn gradient_none_for_other_shapes() {
-        let t = MembershipFunction::triangular(0.0, 0.5, 1.0).unwrap();
-        assert!(t.gaussian_grad(0.5).is_none());
-    }
-
-    #[test]
-    fn triangular_shape() {
-        let t = MembershipFunction::triangular(0.0, 1.0, 2.0).unwrap();
-        assert_eq!(t.eval(-0.1), 0.0);
-        assert_eq!(t.eval(0.0), 0.0);
-        assert!(close(t.eval(0.5), 0.5, 1e-15));
-        assert_eq!(t.eval(1.0), 1.0);
-        assert!(close(t.eval(1.5), 0.5, 1e-15));
-        assert_eq!(t.eval(2.0), 0.0);
-        assert_eq!(t.center(), 1.0);
-    }
-
-    #[test]
-    fn triangular_right_angled() {
-        // Apex at the left foot: step down.
-        let t = MembershipFunction::triangular(0.0, 0.0, 1.0).unwrap();
-        assert_eq!(t.eval(0.0), 1.0);
-        assert!(close(t.eval(0.5), 0.5, 1e-15));
-        assert!(MembershipFunction::triangular(1.0, 0.5, 2.0).is_err());
-        assert!(MembershipFunction::triangular(1.0, 1.0, 1.0).is_err());
-    }
-
-    #[test]
-    fn trapezoidal_shape() {
-        let t = MembershipFunction::trapezoidal(0.0, 1.0, 2.0, 4.0).unwrap();
-        assert_eq!(t.eval(0.0), 0.0);
-        assert!(close(t.eval(0.5), 0.5, 1e-15));
-        assert_eq!(t.eval(1.5), 1.0);
-        assert!(close(t.eval(3.0), 0.5, 1e-15));
-        assert_eq!(t.eval(4.5), 0.0);
-        assert_eq!(t.center(), 1.5);
-        assert!(MembershipFunction::trapezoidal(0.0, 2.0, 1.0, 4.0).is_err());
-    }
-
-    #[test]
-    fn bell_shape() {
-        let b = MembershipFunction::bell(2.0, 4.0, 6.0).unwrap();
-        assert_eq!(b.eval(6.0), 1.0);
-        // At |x-c| = a the value is 1/2 independent of the exponent.
-        assert!(close(b.eval(8.0), 0.5, 1e-15));
-        assert!(close(b.eval(4.0), 0.5, 1e-15));
-        assert!(MembershipFunction::bell(0.0, 1.0, 0.0).is_err());
-        assert!(MembershipFunction::bell(1.0, -1.0, 0.0).is_err());
-    }
-
-    #[test]
-    fn sigmoid_shape() {
-        let s = MembershipFunction::sigmoid(2.0, 1.0).unwrap();
-        assert!(close(s.eval(1.0), 0.5, 1e-15));
-        assert!(s.eval(5.0) > 0.99);
-        assert!(s.eval(-3.0) < 0.01);
-        assert!(MembershipFunction::sigmoid(f64::NAN, 0.0).is_err());
-    }
-
-    #[test]
-    fn all_shapes_bounded() {
-        let shapes = [
-            MembershipFunction::gaussian(0.3, 0.2).unwrap(),
-            MembershipFunction::triangular(-1.0, 0.0, 1.0).unwrap(),
-            MembershipFunction::trapezoidal(-1.0, -0.5, 0.5, 1.0).unwrap(),
-            MembershipFunction::bell(1.0, 2.0, 0.0).unwrap(),
-            MembershipFunction::sigmoid(3.0, 0.0).unwrap(),
-        ];
-        for s in &shapes {
-            let mut x = -5.0;
-            while x <= 5.0 {
-                let v = s.eval(x);
-                assert!((0.0..=1.0).contains(&v), "{s} at {x} -> {v}");
-                x += 0.1;
-            }
         }
     }
 

@@ -20,8 +20,20 @@
 use serde::{Deserialize, Serialize};
 
 use crate::membership::MembershipFunction;
-use crate::tnorm::TNorm;
 use crate::{FuzzyError, Result};
+
+/// The product T-norm `a·b`, the antecedent AND of every rule (§2.1.2).
+/// Hybrid learning's premise gradient `w_j / F_ij` relies on it.
+#[inline]
+pub(crate) fn product(a: f64, b: f64) -> f64 {
+    if cfg!(feature = "strict-math") {
+        debug_assert!(
+            (0.0..=1.0).contains(&a) && (0.0..=1.0).contains(&b),
+            "t-norm inputs must be membership degrees in [0, 1], got {a} and {b}"
+        );
+    }
+    a * b
+}
 
 /// One TSK rule: per-input membership functions plus linear consequent
 /// coefficients (the last coefficient is the constant term).
@@ -109,9 +121,13 @@ impl TskRule {
         &mut self.consequent
     }
 
-    /// Firing strength `w_j(v) = T-norm over F_ij(v_i)`.
-    pub fn firing_strength(&self, v: &[f64], tnorm: TNorm) -> f64 {
-        let w = tnorm.fold(self.antecedents.iter().zip(v).map(|(mf, &x)| mf.eval(x)));
+    /// Firing strength `w_j(v) = Π_i F_ij(v_i)`.
+    pub fn firing_strength(&self, v: &[f64]) -> f64 {
+        let w = self
+            .antecedents
+            .iter()
+            .zip(v)
+            .fold(1.0, |w, (mf, &x)| product(w, mf.eval(x)));
         if cfg!(feature = "strict-math") {
             debug_assert!(
                 w.is_finite() && w >= 0.0,
@@ -154,8 +170,6 @@ pub struct TskEvaluation {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TskFis {
     rules: Vec<TskRule>,
-    #[serde(skip, default)]
-    tnorm: TNorm,
 }
 
 impl TskFis {
@@ -175,16 +189,7 @@ impl TskFis {
                 "rules have inconsistent input dimensions".into(),
             ));
         }
-        Ok(TskFis {
-            rules,
-            tnorm: TNorm::Product,
-        })
-    }
-
-    /// Replace the antecedent T-norm (default: product, the paper's choice).
-    pub fn with_tnorm(mut self, tnorm: TNorm) -> Self {
-        self.tnorm = tnorm;
-        self
+        Ok(TskFis { rules })
     }
 
     /// Number of inputs.
@@ -205,11 +210,6 @@ impl TskFis {
     /// Mutable access to the rules (ANFIS tuning).
     pub fn rules_mut(&mut self) -> &mut [TskRule] {
         &mut self.rules
-    }
-
-    /// The antecedent T-norm.
-    pub fn tnorm(&self) -> TNorm {
-        self.tnorm
     }
 
     /// Evaluate the system: `S(v) = Σ w_j f_j / Σ w_j`.
@@ -238,11 +238,7 @@ impl TskFis {
                 actual: v.len(),
             });
         }
-        let firing: Vec<f64> = self
-            .rules
-            .iter()
-            .map(|r| r.firing_strength(v, self.tnorm))
-            .collect();
+        let firing: Vec<f64> = self.rules.iter().map(|r| r.firing_strength(v)).collect();
         let total: f64 = firing.iter().sum();
         if !(total > 0.0) || !total.is_finite() {
             return Err(FuzzyError::NoRuleFired);
@@ -302,7 +298,10 @@ mod tests {
     fn constant_rule_is_zero_order() {
         let r = TskRule::constant(vec![gaussian(0.0, 1.0), gaussian(1.0, 1.0)], 7.0).unwrap();
         assert_eq!(r.consequent(), &[0.0, 0.0, 7.0]);
-        assert_eq!(r.consequent_value(&[123.0, -5.0]), 7.0);
+        assert_eq!(
+            r.consequent_value(&[123.0, -5.0]).to_bits(),
+            7.0f64.to_bits()
+        );
     }
 
     #[test]
@@ -324,11 +323,9 @@ mod tests {
             vec![0.0, 0.0, 1.0],
         )
         .unwrap();
-        let w = r.firing_strength(&[1.0, 1.0], TNorm::Product);
+        let w = r.firing_strength(&[1.0, 1.0]);
         let single = (-0.5f64).exp();
         assert!((w - single * single).abs() < 1e-15);
-        let wmin = r.firing_strength(&[1.0, 2.0], TNorm::Minimum);
-        assert!((wmin - (-2.0f64).exp()).abs() < 1e-15);
     }
 
     #[test]
@@ -388,7 +385,7 @@ mod tests {
             .zip(&e.consequent_values)
             .map(|(w, f)| w * f)
             .sum();
-        assert_eq!(manual, e.output);
+        assert_eq!(manual.to_bits(), e.output.to_bits());
     }
 
     #[test]
@@ -421,7 +418,10 @@ mod tests {
         let json = serde_json::to_string(&fis).unwrap();
         let back: TskFis = serde_json::from_str(&json).unwrap();
         for &x in &[0.0, 0.25, 0.7, 1.0] {
-            assert_eq!(fis.eval(&[x]).unwrap(), back.eval(&[x]).unwrap());
+            assert_eq!(
+                fis.eval(&[x]).unwrap().to_bits(),
+                back.eval(&[x]).unwrap().to_bits()
+            );
         }
     }
 }

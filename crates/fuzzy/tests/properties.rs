@@ -1,30 +1,18 @@
 //! Property-based tests for the fuzzy substrate.
 
 use cqm_fuzzy::membership::MembershipFunction;
-use cqm_fuzzy::tnorm::{SNorm, TNorm};
 use cqm_fuzzy::tsk::{TskFis, TskRule};
 use proptest::prelude::*;
 
 fn gaussian_strategy() -> impl Strategy<Value = MembershipFunction> {
-    (-5.0f64..5.0, 0.01f64..2.0)
-        .prop_map(|(mu, sigma)| MembershipFunction::gaussian(mu, sigma).unwrap())
-}
-
-fn any_membership() -> impl Strategy<Value = MembershipFunction> {
-    prop_oneof![
-        gaussian_strategy(),
-        (-5.0f64..0.0, 0.0f64..2.0, 2.0f64..5.0)
-            .prop_map(|(a, b, c)| MembershipFunction::triangular(a, b, c).unwrap()),
-        (0.1f64..3.0, 0.5f64..4.0, -3.0f64..3.0)
-            .prop_map(|(a, b, c)| MembershipFunction::bell(a, b, c).unwrap()),
-        (-5.0f64..5.0, -3.0f64..3.0)
-            .prop_map(|(a, c)| MembershipFunction::sigmoid(a, c).unwrap()),
-    ]
+    (-5.0f64..5.0, 0.01f64..2.0).prop_map(|(mu, sigma)| {
+        MembershipFunction::gaussian(mu, sigma).expect("finite mu, positive sigma")
+    })
 }
 
 proptest! {
     #[test]
-    fn membership_always_in_unit_interval(mf in any_membership(), x in -20.0f64..20.0) {
+    fn membership_always_in_unit_interval(mf in gaussian_strategy(), x in -20.0f64..20.0) {
         let v = mf.eval(x);
         prop_assert!((0.0..=1.0).contains(&v), "{mf} at {x} -> {v}");
     }
@@ -41,21 +29,23 @@ proptest! {
     #[test]
     fn gaussian_grad_zero_at_center(mf in gaussian_strategy()) {
         let c = mf.center();
-        let (dmu, dsigma) = mf.gaussian_grad(c).unwrap();
+        let (dmu, dsigma) = mf.gaussian_grad(c);
         prop_assert!(dmu.abs() < 1e-14);
         prop_assert!(dsigma.abs() < 1e-14);
     }
 
     #[test]
-    fn tnorm_bounded_by_min(a in 0.0f64..1.0, b in 0.0f64..1.0) {
-        // Every T-norm is dominated by minimum.
-        for t in [TNorm::Product, TNorm::Minimum, TNorm::Lukasiewicz] {
-            prop_assert!(t.apply(a, b) <= a.min(b) + 1e-15);
-        }
-        // Every S-norm dominates maximum.
-        for s in [SNorm::Maximum, SNorm::ProbabilisticSum, SNorm::BoundedSum] {
-            prop_assert!(s.apply(a, b) >= a.max(b) - 1e-15);
-        }
+    fn firing_strength_bounded_by_min_membership(
+        a in gaussian_strategy(),
+        b in gaussian_strategy(),
+        x in -5.0f64..5.0,
+        y in -5.0f64..5.0,
+    ) {
+        // The product T-norm is dominated by minimum.
+        let (fa, fb) = (a.eval(x), b.eval(y));
+        let rule = TskRule::new(vec![a, b], vec![0.0, 0.0, 0.0]).unwrap();
+        let w = rule.firing_strength(&[x, y]);
+        prop_assert!((0.0..=fa.min(fb)).contains(&w), "w={w} fa={fa} fb={fb}");
     }
 
     #[test]
@@ -117,6 +107,6 @@ proptest! {
             .unwrap(),
         ])
         .unwrap();
-        prop_assert_eq!(fis.eval(&[x]).unwrap(), fis.eval(&[x]).unwrap());
+        prop_assert_eq!(fis.eval(&[x]).unwrap().to_bits(), fis.eval(&[x]).unwrap().to_bits());
     }
 }

@@ -202,8 +202,8 @@ pub(crate) fn to_wire(e: &CqmError) -> WireError {
 
 /// One worker's life: pop micro-batches until the queue closes and is
 /// drained, answer every job on its reply channel. `eval_delay` is a
-/// load-shaping knob for tests and the load generator — it simulates a
-/// slower model by sleeping once per popped batch.
+/// load-shaping knob for tests — it simulates a slower model by sleeping
+/// once per popped batch.
 ///
 /// With multi-tenant routing, jobs in one micro-batch may carry different
 /// engines. Single-classify rows are still folded into combined kernel

@@ -67,7 +67,7 @@ pub struct ServerConfig {
     /// Where to write the shutdown checkpoint; `None` disables it.
     pub checkpoint: Option<PathBuf>,
     /// Artificial per-micro-batch evaluation delay — a load-shaping knob
-    /// for overload tests and the load generator. `None` in production.
+    /// for overload tests. `None` in production.
     pub eval_delay: Option<Duration>,
     /// Overall budget for reading one frame once its first byte arrived —
     /// the slow-loris defense. `None` leaves only the stall-count backstop.

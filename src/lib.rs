@@ -17,7 +17,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`math`] | `cqm-math` | SVD/QR least squares, Gaussians, statistics |
-//! | [`fuzzy`] | `cqm-fuzzy` | membership functions, TSK & Mamdani FIS |
+//! | [`fuzzy`] | `cqm-fuzzy` | Gaussian memberships, TSK FIS and its kernel |
 //! | [`cluster`] | `cqm-cluster` | subtractive/mountain/FCM/k-means clustering |
 //! | [`anfis`] | `cqm-anfis` | genfis + ANFIS hybrid learning |
 //! | [`stats`] | `cqm-stats` | MLE fits, thresholds, tail probabilities, ROC |

@@ -97,7 +97,6 @@ fn training_data(n: usize) -> Dataset {
 fn steady_state_kernel_eval_allocates_nothing() {
     let fis = gaussian_fis();
     let kernel = fis.kernel();
-    assert!(kernel.is_gaussian_only());
     let mut scratch = TskScratch::new();
     let inputs: Vec<[f64; 2]> = (0..256)
         .map(|i| [(i as f64) / 255.0, 1.0 - (i as f64) / 255.0])
@@ -184,7 +183,6 @@ fn anfis_training_is_bit_identical_across_thread_counts() {
                         assert_eq!(mu_a.to_bits(), mu_b.to_bits(), "threads={threads} rule {i}");
                         assert_eq!(s_a.to_bits(), s_b.to_bits(), "threads={threads} rule {i}");
                     }
-                    (ma, mb) => panic!("non-Gaussian antecedents {ma:?} / {mb:?}"),
                 }
             }
             for (ca, cb) in a.consequent().iter().zip(b.consequent()) {
