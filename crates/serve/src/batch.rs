@@ -255,14 +255,14 @@ pub(crate) fn run_worker(
                 .count();
             let (run_rows, rest_rows) = rows_left.split_at(run.min(rows_left.len()));
             engine.eval_singles(run_rows, &mut scratch, &mut run_results);
-            single_results.extend(run_results.drain(..));
+            single_results.append(&mut run_results);
             rows_left = rest_rows;
             let (_, rest_engines) = engines_left.split_at(run);
             engines_left = rest_engines;
         }
-        let mut answered_rows = 0u64;
         let mut singles = single_results.drain(..);
         for job in jobs.drain(..) {
+            let mut answered_rows = 0u64;
             let response = match job.work {
                 Work::One(_) => match singles.next() {
                     Some(Ok(result)) => {
@@ -286,13 +286,15 @@ pub(crate) fn run_worker(
                     }
                 }
             };
+            // Count the rows before the answer leaves, so a client that
+            // holds an answer never reads a Health that lacks it.
+            rows_classified.fetch_add(answered_rows, Ordering::Relaxed);
             // The session may have hung up while its job was queued (dead
             // channel), or stopped waiting after a reply timeout (full
             // buffer); either way nobody is listening — never block a
             // worker on a session's single reply slot.
             let _ = job.reply.try_send(response);
         }
-        rows_classified.fetch_add(answered_rows, Ordering::Relaxed);
     }
 }
 

@@ -15,7 +15,7 @@
 //!   exhaustion the last typed answer is returned (so callers still see
 //!   [`ServeError::Remote`]).
 //! * **Transient transport faults** — resets, torn frames, timeouts,
-//!   corrupt payloads. The connection is poisoned and, for *idempotent*
+//!   corrupt payloads and length words. The connection is poisoned and, for *idempotent*
 //!   requests, the call reconnects (with the connect budget shrunk to the
 //!   remaining deadline) and retries under the same backoff schedule.
 //!   Classify requests are idempotent **because** they carry a
@@ -118,7 +118,9 @@ pub struct CqmClient {
 
 /// Transport failures that may be transient: worth a retry when the
 /// request is idempotent. Settled answers (`Remote`) and local
-/// misconfiguration are not in this family.
+/// misconfiguration are not in this family. A response that claims more
+/// than the frame cap is in it: the server's encoder never writes such a
+/// frame, so its length word was corrupted in transit.
 fn transient(e: &ServeError) -> bool {
     matches!(
         e,
@@ -127,6 +129,7 @@ fn transient(e: &ServeError) -> bool {
             | ServeError::Timeout(_)
             | ServeError::ConnectionClosed
             | ServeError::Decode(_)
+            | ServeError::FrameTooLarge { .. }
     )
 }
 
@@ -541,6 +544,50 @@ mod tests {
         let (a, _la) = test_client(ClientConfig::default());
         let (b, _lb) = test_client(ClientConfig::default());
         assert_ne!(a.session_id(), b.session_id());
+    }
+
+    #[test]
+    fn a_corrupt_response_length_is_retried_on_a_fresh_connection() {
+        use crate::protocol::{read_frame, FrameRead};
+        use cqm_core::{ClassId, Decision, Quality};
+        use std::io::Write;
+
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let result = QualifiedClassification {
+            class: ClassId(1),
+            quality: Quality::Value(0.75),
+            decision: Decision::Accept,
+        };
+        let reply = encode_frame(&Response::Classified { result }).expect("encode");
+        // The first answer's length word has bit 29 flipped, so it claims
+        // more than the 16 MiB cap; the second answer is intact.
+        let fake_server = std::thread::spawn(move || {
+            for flip in [0x20u8, 0] {
+                let (mut stream, _peer) = listener.accept().expect("accept");
+                stream
+                    .set_read_timeout(Some(Duration::from_secs(10)))
+                    .expect("timeout");
+                match read_frame::<_, Request>(&mut stream) {
+                    Ok(FrameRead::Frame(Request::Classify { .. })) => {}
+                    other => panic!("fake server expected a classify, got {other:?}"),
+                }
+                let mut frame = reply.clone();
+                frame[3] ^= flip;
+                stream.write_all(&frame).expect("write reply");
+            }
+        });
+        let mut client = CqmClient::connect(
+            addr,
+            ClientConfig {
+                backoff_base: Duration::from_millis(1),
+                ..ClientConfig::default()
+            },
+        )
+        .expect("connect");
+        assert_eq!(client.classify(&[0.5]).expect("retried"), result);
+        assert_eq!(client.last_attempts(), 2);
+        fake_server.join().expect("fake server");
     }
 
     #[test]

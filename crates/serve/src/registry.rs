@@ -834,6 +834,7 @@ mod tests {
     use crate::model::test_support::tiny_model;
     use crate::protocol::WireErrorKind;
     use cqm_persist::CheckpointHandle;
+    use std::path::Path;
     use std::time::Duration;
 
     fn scratch_dir(tag: &str) -> PathBuf {
@@ -853,9 +854,9 @@ mod tests {
         ServedModel::new(m.classifier().clone(), cqm).expect("model")
     }
 
-    fn stored_registry(dir: &PathBuf, config: FleetConfig) -> ModelRegistry {
+    fn stored_registry(dir: &Path, config: FleetConfig) -> ModelRegistry {
         ModelRegistry::new(FleetConfig {
-            store_dir: Some(dir.clone()),
+            store_dir: Some(dir.to_path_buf()),
             ..config
         })
         .expect("registry")

@@ -175,11 +175,10 @@ impl Shared {
     /// The Failsafe answer: the last fresh classification, if any, typed
     /// as degraded on the wire.
     fn degraded_answer(&self) -> Option<Response> {
-        let cached = self
+        let cached = *self
             .last_good
             .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone();
+            .unwrap_or_else(PoisonError::into_inner);
         let result = cached?;
         self.degraded_served.fetch_add(1, Ordering::Relaxed);
         Some(Response::ClassifiedDegraded { result })
@@ -190,7 +189,7 @@ impl Shared {
             .last_good
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        *guard = Some(result.clone());
+        *guard = Some(*result);
     }
 
     fn request_stop(&self) {
@@ -771,6 +770,48 @@ mod tests {
     }
 
     #[test]
+    fn health_counts_every_answer_already_delivered() {
+        // A client holding an answer must find it counted in Health: the
+        // worker counts a job's rows before the reply leaves it. A spinning
+        // thread keeps one core busy, so the scheduler often preempts the
+        // worker right after its reply wakes the session — the moment an
+        // answer could overtake its count.
+        let server = CqmServer::start(
+            ModelSource::Fresh(tiny_model()),
+            ServerConfig {
+                workers: 1,
+                ..ServerConfig::default()
+            },
+        )
+        .expect("start");
+        let mut client = quick_client(server.local_addr());
+        let done = AtomicBool::new(false);
+        let first_lag = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while !done.load(Ordering::Relaxed) {
+                    std::hint::spin_loop();
+                }
+            });
+            let first_lag = (1..=2000u64).find_map(|answers| {
+                if let Err(e) = client.classify(&[(answers % 100) as f64 / 100.0]) {
+                    return Some(format!("call {answers} failed: {e}"));
+                }
+                let health = server.health();
+                (health.requests != answers || health.rows_classified != answers).then(|| {
+                    format!(
+                        "after {answers} answers Health counts {} requests, {} rows",
+                        health.requests, health.rows_classified
+                    )
+                })
+            });
+            done.store(true, Ordering::Relaxed);
+            first_lag
+        });
+        assert_eq!(first_lag, None);
+        server.shutdown().expect("shutdown");
+    }
+
+    #[test]
     fn bad_cues_get_typed_errors_not_disconnects() {
         let server = CqmServer::start(ModelSource::Fresh(tiny_model()), ServerConfig::default())
             .expect("start");
@@ -786,6 +827,59 @@ mod tests {
         // The connection survives a bad request.
         assert!(client.classify(&[0.5]).is_ok());
         server.shutdown().expect("shutdown");
+    }
+
+    #[test]
+    fn non_finite_cue_bits_get_typed_bad_requests_and_the_server_keeps_serving() {
+        // The encoder refuses non-finite cues, so these v4 Classify frames
+        // are built by hand: NaN and +inf bits under a valid CRC.
+        let server = CqmServer::start(ModelSource::Fresh(tiny_model()), ServerConfig::default())
+            .expect("start");
+        let mut stream = TcpStream::connect_timeout(&server.local_addr(), Duration::from_secs(5))
+            .expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        let mut exchange = |frame: &[u8]| {
+            std::io::Write::write_all(&mut stream, frame).expect("send");
+            match crate::protocol::read_frame::<_, Response>(&mut stream).expect("read") {
+                FrameRead::Frame(response) => response,
+                other => panic!("expected an answer, got {other:?}"),
+            }
+        };
+        for (request, cue) in [(1u64, f64::NAN), (2, f64::INFINITY)] {
+            let payload = [
+                &[0x01][..],            // kind: Classify
+                &77u64.to_le_bytes(),   // session
+                &request.to_le_bytes(), // request
+                &[0],                   // tenant: None
+                &1u32.to_le_bytes(),    // 1 cue
+                &cue.to_bits().to_le_bytes(),
+            ]
+            .concat();
+            let frame = crate::protocol::frame_raw_payload(crate::PROTOCOL_VERSION, &payload)
+                .expect("frame");
+            match exchange(&frame) {
+                Response::Error { error } => {
+                    assert_eq!(error.kind, crate::WireErrorKind::BadRequest, "{cue}");
+                }
+                other => panic!("{cue} got {other:?}, want a typed bad request"),
+            }
+        }
+        // The same connection, and the server, keep serving.
+        let clean = crate::protocol::encode_frame(&Request::Classify {
+            id: RequestId {
+                session: 77,
+                request: 3,
+            },
+            tenant: None,
+            cues: vec![0.9],
+        })
+        .expect("encode");
+        assert!(matches!(exchange(&clean), Response::Classified { .. }));
+        assert!(quick_client(server.local_addr()).classify(&[0.1]).is_ok());
+        let health = server.shutdown().expect("shutdown");
+        assert_eq!(health.session_errors, 0);
     }
 
     #[test]
