@@ -201,11 +201,8 @@ impl WorkerPool {
         F: Fn(usize, &T) -> U + Sync,
     {
         let parts = self.run_chunks(items.len(), chunk_len, |c| {
-            let mut out = Vec::with_capacity(c.len());
-            for i in c.start..c.end {
-                out.push(f(i, &items[i]));
-            }
-            out
+            let chunk = items.iter().enumerate().take(c.end).skip(c.start);
+            chunk.map(|(i, item)| f(i, item)).collect::<Vec<U>>()
         });
         let mut merged = Vec::with_capacity(items.len());
         for part in parts {
@@ -228,7 +225,7 @@ impl WorkerPool {
         len: usize,
         chunk_len: usize,
         map: M,
-        mut fold: F,
+        fold: F,
     ) -> Option<A>
     where
         A: Send,
@@ -237,7 +234,7 @@ impl WorkerPool {
     {
         self.run_chunks(len, chunk_len, map)
             .into_iter()
-            .reduce(|a, b| fold(a, b))
+            .reduce(fold)
     }
 }
 
@@ -288,7 +285,7 @@ mod tests {
     fn float_reduction_is_bit_identical_across_thread_counts() {
         // A sum designed to be order-sensitive: wildly varying magnitudes.
         let xs: Vec<f64> = (0..2000)
-            .map(|i| (i as f64 * 0.731).sin() * 10f64.powi((i % 13) as i32 - 6))
+            .map(|i| (i as f64 * 0.731).sin() * 10f64.powi(i % 13 - 6))
             .collect();
         let sum_chunk =
             |c: Chunk| -> f64 { xs[c.start..c.end].iter().sum() };

@@ -1,20 +1,21 @@
 // analyze: hot-path
-//! The evaluation engine and the worker loop — the service's request hot
-//! path.
+//! The evaluation engine and the micro-batch step — the service's request
+//! hot path.
 //!
 //! Every queued request is answered here through the allocation-free
 //! kernel paths: [`ClassifierKernel`] for the class, [`QualityKernel`] for
 //! `q`, both proven bit-identical to the plain `CqmSystem` evaluation.
-//! Workers pop up to `micro_batch` queued jobs at a time and fold every
-//! single-classify request in the batch into **one** kernel sweep
-//! ([`ClassifierKernel::classify_batch_into`]); because the batched sweep
-//! is itself bit-identical to row-wise evaluation, micro-batching is
-//! invisible in the answers — only in the throughput.
+//! A session holding an execution permit pops up to `micro_batch` queued
+//! jobs at a time and folds every single-classify request in the batch
+//! into **one** kernel sweep ([`ClassifierKernel::classify_batch_into`]);
+//! because the batched sweep is itself bit-identical to row-wise
+//! evaluation, micro-batching is invisible in the answers — only in the
+//! throughput.
 //!
 //! Failure containment: jobs in a micro-batch are independent requests
 //! from unrelated clients, so one malformed row must not fail its batch
-//! peers. The sweep is optimistic; if any row errors, the worker falls
-//! back to row-wise evaluation and each job gets its own verdict.
+//! peers. The sweep is optimistic; if any row errors, the step falls back
+//! to row-wise evaluation and each job gets its own verdict.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -40,7 +41,7 @@ pub(crate) enum Work {
     Many(Vec<Vec<f64>>),
 }
 
-/// A queued request plus the channel its session is parked on and the
+/// A queued request plus the reply channel its session waits on and the
 /// engine that must answer it. The engine `Arc` is pinned at admission
 /// time by the model registry's routing slot, which is what makes hot
 /// swaps zero-drop: a swap flips the slot for *future* admissions, while
@@ -53,8 +54,8 @@ pub(crate) struct Job {
     pub(crate) engine: Arc<Engine>,
 }
 
-/// Reusable per-worker evaluation state: FIS scratch, quality scratch and
-/// the sweep buffers. One instance per worker thread.
+/// Reusable evaluation state: FIS scratch, quality scratch and the sweep
+/// buffers. The server keeps one per session.
 #[derive(Debug, Default)]
 pub struct EngineScratch {
     tsk: TskScratch,
@@ -70,7 +71,7 @@ impl EngineScratch {
     }
 }
 
-/// The immutable evaluation core shared by all workers: classifier kernel,
+/// The immutable evaluation core shared by all sessions: classifier kernel,
 /// quality kernel and the filter at the model's operating threshold.
 #[derive(Debug, Clone)]
 pub struct Engine {
@@ -200,10 +201,23 @@ pub(crate) fn to_wire(e: &CqmError) -> WireError {
     }
 }
 
-/// One worker's life: pop micro-batches until the queue closes and is
-/// drained, answer every job on its reply channel. `eval_delay` is a
-/// load-shaping knob for tests — it simulates a slower model by sleeping
-/// once per popped batch.
+/// One session's micro-batch buffers: the popped jobs, the engine scratch
+/// and the rows of single-classify jobs grouped by engine. Empty until the
+/// first batch sizes them, then reused for every batch.
+#[derive(Debug, Default)]
+pub(crate) struct BatchScratch {
+    jobs: Vec<Job>,
+    engine: EngineScratch,
+    single_rows: Vec<Vec<f64>>,
+    single_engines: Vec<Arc<Engine>>,
+    run_results: Vec<std::result::Result<QualifiedClassification, CqmError>>,
+    single_results: Vec<std::result::Result<QualifiedClassification, CqmError>>,
+}
+
+/// Pop up to `micro_batch` jobs from the queue head without blocking and
+/// answer every one on its reply channel. Returns whether it took
+/// anything. `eval_delay` is a load-shaping knob for tests — it simulates
+/// a slower model by sleeping once per popped batch.
 ///
 /// With multi-tenant routing, jobs in one micro-batch may carry different
 /// engines. Single-classify rows are still folded into combined kernel
@@ -212,90 +226,97 @@ pub(crate) fn to_wire(e: &CqmError) -> WireError {
 /// practice); runs are compared by `Arc` identity, never by model
 /// contents. Because the batched sweep is bit-identical to row-wise
 /// evaluation, the grouping is invisible in the answers.
-pub(crate) fn run_worker(
+pub(crate) fn answer_next_batch(
     queue: &BoundedQueue<Job>,
     micro_batch: usize,
     eval_delay: Option<Duration>,
     rows_classified: &AtomicU64,
-) {
-    let mut jobs: Vec<Job> = Vec::new();
-    let mut scratch = EngineScratch::new();
-    let mut single_rows: Vec<Vec<f64>> = Vec::new();
-    let mut single_engines: Vec<Arc<Engine>> = Vec::new();
-    let mut run_results: Vec<std::result::Result<QualifiedClassification, CqmError>> = Vec::new();
-    let mut single_results: Vec<std::result::Result<QualifiedClassification, CqmError>> =
-        Vec::new();
-    while queue.pop_batch(micro_batch, &mut jobs) {
-        if let Some(delay) = eval_delay {
-            std::thread::sleep(delay);
-        }
-        // Gather every single-classify row in this micro-batch alongside
-        // the engine its lease pinned. The cue vectors are moved out (not
-        // cloned) and the engine refs are `Arc` bumps, not allocations;
-        // the jobs keep empty husks.
-        single_rows.clear();
-        single_engines.clear();
-        for job in jobs.iter_mut() {
-            if let Work::One(cues) = &mut job.work {
-                single_rows.push(std::mem::take(cues));
-                single_engines.push(Arc::clone(&job.engine));
-            }
-        }
-        // Sweep each maximal consecutive same-engine run in one kernel
-        // pass; results land in request order. `run >= 1` always (the
-        // first element matches itself), so both splits are in bounds and
-        // the loop strictly shrinks.
-        single_results.clear();
-        let mut rows_left: &[Vec<f64>] = &single_rows;
-        let mut engines_left: &[Arc<Engine>] = &single_engines;
-        while let Some(engine) = engines_left.first() {
-            let run = engines_left
-                .iter()
-                .take_while(|e| Arc::ptr_eq(e, engine))
-                .count();
-            let (run_rows, rest_rows) = rows_left.split_at(run.min(rows_left.len()));
-            engine.eval_singles(run_rows, &mut scratch, &mut run_results);
-            single_results.append(&mut run_results);
-            rows_left = rest_rows;
-            let (_, rest_engines) = engines_left.split_at(run);
-            engines_left = rest_engines;
-        }
-        let mut singles = single_results.drain(..);
-        for job in jobs.drain(..) {
-            let mut answered_rows = 0u64;
-            let response = match job.work {
-                Work::One(_) => match singles.next() {
-                    Some(Ok(result)) => {
-                        answered_rows += 1;
-                        Response::Classified { result }
-                    }
-                    Some(Err(e)) => Response::Error { error: to_wire(&e) },
-                    // Bookkeeping mismatch; typed rather than asserted.
-                    None => Response::Error {
-                        error: WireError::internal("micro-batch bookkeeping mismatch"),
-                    },
-                },
-                Work::Many(rows) => {
-                    let mut results = Vec::with_capacity(rows.len());
-                    match job.engine.classify_rows(&rows, &mut scratch, &mut results) {
-                        Ok(()) => {
-                            answered_rows += results.len() as u64;
-                            Response::ClassifiedBatch { results }
-                        }
-                        Err(e) => Response::Error { error: to_wire(&e) },
-                    }
-                }
-            };
-            // Count the rows before the answer leaves, so a client that
-            // holds an answer never reads a Health that lacks it.
-            rows_classified.fetch_add(answered_rows, Ordering::Relaxed);
-            // The session may have hung up while its job was queued (dead
-            // channel), or stopped waiting after a reply timeout (full
-            // buffer); either way nobody is listening — never block a
-            // worker on a session's single reply slot.
-            let _ = job.reply.try_send(response);
+    scratch: &mut BatchScratch,
+) -> bool {
+    let BatchScratch {
+        jobs,
+        engine: engine_scratch,
+        single_rows,
+        single_engines,
+        run_results,
+        single_results,
+    } = scratch;
+    if !queue.pop_batch(micro_batch, jobs) {
+        return false;
+    }
+    if let Some(delay) = eval_delay {
+        std::thread::sleep(delay);
+    }
+    // Gather every single-classify row in this micro-batch alongside the
+    // engine its lease pinned. The cue vectors are moved out (not cloned)
+    // and the engine refs are `Arc` bumps, not allocations; the jobs keep
+    // empty husks.
+    single_rows.clear();
+    single_engines.clear();
+    for job in jobs.iter_mut() {
+        if let Work::One(cues) = &mut job.work {
+            single_rows.push(std::mem::take(cues));
+            single_engines.push(Arc::clone(&job.engine));
         }
     }
+    // Sweep each maximal consecutive same-engine run in one kernel pass;
+    // results land in request order. `run >= 1` always (the first element
+    // matches itself), so both splits are in bounds and the loop strictly
+    // shrinks.
+    single_results.clear();
+    let mut rows_left: &[Vec<f64>] = single_rows;
+    let mut engines_left: &[Arc<Engine>] = single_engines;
+    while let Some(engine) = engines_left.first() {
+        let run = engines_left
+            .iter()
+            .take_while(|e| Arc::ptr_eq(e, engine))
+            .count();
+        let (run_rows, rest_rows) = rows_left.split_at(run.min(rows_left.len()));
+        engine.eval_singles(run_rows, engine_scratch, run_results);
+        single_results.append(run_results);
+        rows_left = rest_rows;
+        let (_, rest_engines) = engines_left.split_at(run);
+        engines_left = rest_engines;
+    }
+    let mut singles = single_results.drain(..);
+    for job in jobs.drain(..) {
+        let mut answered_rows = 0u64;
+        let response = match job.work {
+            Work::One(_) => match singles.next() {
+                Some(Ok(result)) => {
+                    answered_rows += 1;
+                    Response::Classified { result }
+                }
+                Some(Err(e)) => Response::Error { error: to_wire(&e) },
+                // Bookkeeping mismatch; typed rather than asserted.
+                None => Response::Error {
+                    error: WireError::internal("micro-batch bookkeeping mismatch"),
+                },
+            },
+            Work::Many(rows) => {
+                let mut results = Vec::with_capacity(rows.len());
+                match job
+                    .engine
+                    .classify_rows(&rows, engine_scratch, &mut results)
+                {
+                    Ok(()) => {
+                        answered_rows += results.len() as u64;
+                        Response::ClassifiedBatch { results }
+                    }
+                    Err(e) => Response::Error { error: to_wire(&e) },
+                }
+            }
+        };
+        // Count the rows before the answer leaves, so a client that holds
+        // an answer never reads a Health that lacks it.
+        rows_classified.fetch_add(answered_rows, Ordering::Relaxed);
+        // The owner waits in its run-to-completion loop until this answer
+        // arrives, and a session has one job at a time, so the one-slot
+        // channel is empty and `try_send` never blocks the answering
+        // session.
+        let _ = job.reply.try_send(response);
+    }
+    true
 }
 
 #[cfg(test)]
@@ -371,7 +392,7 @@ mod tests {
     }
 
     #[test]
-    fn worker_answers_every_admitted_job_then_exits_on_close() {
+    fn every_admitted_job_is_answered_once_the_queue_is_drained() {
         let model = tiny_model();
         let engine = Arc::new(Engine::new(&model).expect("engine"));
         let queue = BoundedQueue::new(32);
@@ -397,8 +418,12 @@ mod tests {
             ));
             receivers.push(rx);
         }
-        queue.close();
-        run_worker(&queue, 4, None, &rows_classified);
+        let mut scratch = BatchScratch::default();
+        let mut batches = 0;
+        while answer_next_batch(&queue, 4, None, &rows_classified, &mut scratch) {
+            batches += 1;
+        }
+        assert_eq!(batches, 3, "10 jobs in micro-batches of at most 4");
         for rx in receivers {
             let resp = rx.try_recv().expect("every admitted job is answered");
             assert!(matches!(
@@ -449,8 +474,15 @@ mod tests {
             receivers.push(rx);
             cues.push((x, i % 3 == 0));
         }
-        queue.close();
-        run_worker(&queue, 12, None, &rows_classified);
+        let mut scratch = BatchScratch::default();
+        assert!(answer_next_batch(
+            &queue,
+            12,
+            None,
+            &rows_classified,
+            &mut scratch
+        ));
+        assert!(queue.is_empty(), "one micro-batch takes all 12 jobs");
         for (rx, (x, is_b)) in receivers.into_iter().zip(cues) {
             let resp = rx.try_recv().expect("answered");
             let Response::Classified { result } = resp else {

@@ -30,8 +30,10 @@
 //! * [`dedup`] — the bounded per-session exactly-once window: a retried
 //!   `(session, request)` id replays the cached answer instead of
 //!   executing twice.
-//! * [`server`] / [`client`] — the acceptor/worker server with per-frame
-//!   deadlines, dedup, a degradation ladder on admission, and graceful
+//! * [`server`] / [`client`] — the run-to-completion server (each session
+//!   evaluates queued micro-batches under one of a fixed number of
+//!   execution permits; no worker threads) with per-frame deadlines,
+//!   dedup, a degradation ladder on admission, and graceful
 //!   drain-then-checkpoint shutdown; and the blocking client with a
 //!   per-call deadline budget, capped exponential backoff with seeded
 //!   jitter, and idempotent retries on transient transport faults.

@@ -401,7 +401,8 @@ pub struct ServerHealth {
     /// `"failsafe"`, `"recovering"`), or `None` when no ladder is
     /// configured.
     pub ladder: Option<String>,
-    /// Worker threads evaluating requests.
+    /// Execution permits: how many sessions may evaluate queued work at
+    /// once.
     pub workers: usize,
     /// Whether the server is draining toward shutdown.
     pub draining: bool,

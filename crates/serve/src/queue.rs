@@ -12,10 +12,15 @@
 //! * [`AdmissionPolicy::Block`] — the producer waits up to a timeout for
 //!   room, then is rejected.
 //!
+//! Consumers never park here: [`BoundedQueue::pop_batch`] takes what is
+//! at the head and returns at once. The server's sessions, each of which
+//! owns one queued job, take turns popping under an execution permit
+//! (see `server.rs`).
+//!
 //! After [`BoundedQueue::close`], producers are always rejected while
 //! consumers drain what was already admitted — the ordering that makes
 //! drain-then-checkpoint shutdown possible: every admitted request is
-//! answered before the workers exit.
+//! answered before its session exits.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
@@ -80,7 +85,6 @@ struct Inner<T> {
 /// semantics.
 pub struct BoundedQueue<T> {
     inner: Mutex<Inner<T>>,
-    not_empty: Condvar,
     not_full: Condvar,
     capacity: usize,
 }
@@ -98,7 +102,6 @@ impl<T> BoundedQueue<T> {
                 shed: 0,
                 highwater: 0,
             }),
-            not_empty: Condvar::new(),
             not_full: Condvar::new(),
             capacity: capacity.max(1),
         }
@@ -141,7 +144,6 @@ impl<T> BoundedQueue<T> {
         inner.items.push_back(item);
         inner.pushed += 1;
         inner.highwater = inner.highwater.max(inner.items.len() as u64);
-        self.not_empty.notify_one();
     }
 
     /// Offer `item` under `policy`. Never blocks except under
@@ -201,39 +203,25 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Block until at least one item is available (or the queue is closed
-    /// and empty), then move up to `max` items into `out` (cleared first).
-    /// Returns `false` only when the queue is closed and fully drained —
-    /// the consumer's signal to exit. Items admitted before `close` are
-    /// always delivered.
+    /// Move up to `max` items from the head into `out` (cleared first)
+    /// without blocking. Returns whether it took anything. Closing does not
+    /// stop it: items admitted before `close` are always delivered.
     pub fn pop_batch(&self, max: usize, out: &mut Vec<T>) -> bool {
         out.clear();
         let mut inner = self.lock();
-        while inner.items.is_empty() {
-            if inner.closed {
-                return false;
-            }
-            inner = self
-                .not_empty
-                .wait(inner)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
         let take = max.max(1).min(inner.items.len());
-        for _ in 0..take {
-            match inner.items.pop_front() {
-                Some(item) => out.push(item),
-                None => break,
-            }
+        out.extend(inner.items.drain(..take));
+        if take > 0 {
+            self.not_full.notify_all();
         }
-        self.not_full.notify_all();
-        true
+        take > 0
     }
 
-    /// Stop admitting; wake every waiter. Consumers drain the remainder.
+    /// Stop admitting; wake every blocked producer. Consumers drain the
+    /// remainder.
     pub fn close(&self) {
         let mut inner = self.lock();
         inner.closed = true;
-        self.not_empty.notify_all();
         self.not_full.notify_all();
     }
 
@@ -268,6 +256,7 @@ impl<T> BoundedQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
     #[test]
@@ -354,21 +343,6 @@ mod tests {
     }
 
     #[test]
-    fn pop_batch_wakes_on_close_while_waiting() {
-        let q = Arc::new(BoundedQueue::<u32>::new(4));
-        let consumer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || {
-                let mut out = Vec::new();
-                q.pop_batch(4, &mut out)
-            })
-        };
-        std::thread::sleep(Duration::from_millis(20));
-        q.close();
-        assert!(!consumer.join().expect("consumer"));
-    }
-
-    #[test]
     fn many_producers_one_consumer_delivers_everything_admitted() {
         let q = Arc::new(BoundedQueue::new(16));
         let producers: Vec<_> = (0..4)
@@ -388,22 +362,32 @@ mod tests {
                 })
             })
             .collect();
+        let producers_done = Arc::new(AtomicBool::new(false));
         let consumer = {
             let q = Arc::clone(&q);
+            let producers_done = Arc::clone(&producers_done);
             std::thread::spawn(move || {
                 let mut total = 0u64;
                 let mut out = Vec::new();
-                while q.pop_batch(7, &mut out) {
-                    total += out.len() as u64;
+                loop {
+                    // Read the flag before popping: an empty pop after the
+                    // producers joined means everything admitted was taken.
+                    let done = producers_done.load(Ordering::SeqCst);
+                    if q.pop_batch(7, &mut out) {
+                        total += out.len() as u64;
+                    } else if done {
+                        return total;
+                    } else {
+                        std::thread::yield_now();
+                    }
                 }
-                total
             })
         };
         let admitted: u64 = producers
             .into_iter()
             .map(|p| p.join().expect("producer"))
             .sum();
-        q.close();
+        producers_done.store(true, Ordering::SeqCst);
         let consumed = consumer.join().expect("consumer");
         assert_eq!(admitted, 200);
         assert_eq!(consumed, admitted);

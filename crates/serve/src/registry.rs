@@ -1,7 +1,7 @@
 //! The model registry: tenant-keyed routing slots with bulkhead isolation,
 //! checkpoint-backed LRU eviction/warm-load, and zero-drop hot swap.
 //!
-//! One [`ModelRegistry`] sits between session admission and the worker
+//! One [`ModelRegistry`] sits between session admission and the request
 //! queue. Every classify request names a tenant (default: the
 //! [`DEFAULT_TENANT`] slot) and is admitted through that tenant's **slot**,
 //! a tiny state machine (DESIGN.md §13):

@@ -1,37 +1,43 @@
-//! The TCP server: acceptor, sessions, worker pool, graceful shutdown.
+//! The TCP server: acceptor, run-to-completion sessions, graceful
+//! shutdown.
 //!
 //! Thread architecture:
 //!
 //! * one **acceptor** thread owns the listener and spawns a session thread
 //!   per connection;
-//! * one **runtime** thread hosts a [`WorkerPool`] whose scoped threads
-//!   *are* the worker loops ([`run_worker`]) — they pop micro-batches from
-//!   the bounded queue until it closes and drains;
-//! * each **session** thread speaks the frame protocol with one client,
-//!   enqueues classification jobs, and parks on a reply channel. Sessions
-//!   poll with a short read timeout, so an idle connection notices
-//!   shutdown within one tick.
+//! * each **session** thread speaks the frame protocol with one client and
+//!   evaluates the work itself. A classify request is admitted through the
+//!   bounded queue like any other; the session then runs
+//!   [`run_to_completion`] until its own answer arrives. While it holds one
+//!   of the `workers` execution permits it pops a micro-batch from the
+//!   queue head and answers every job in it — its own and other sessions'
+//!   — on their reply channels. Sessions poll with a short read timeout,
+//!   so an idle connection notices shutdown within one tick.
+//!
+//! There are no worker threads: a request costs no thread hand-off when a
+//! permit is free, and the permits bound how many sessions evaluate at
+//! once.
 //!
 //! Shutdown ordering (see DESIGN.md §10): mark draining (sessions answer
-//! `ShuttingDown` to new work) → close the queue (workers finish what was
-//! admitted, then exit) → unblock and join the acceptor → join workers and
-//! sessions → write the checkpoint. Every admitted request is answered
-//! before the checkpoint is written; nothing is dropped silently.
+//! `ShuttingDown` to new work) → close the queue (admission refuses, and
+//! the sessions that own queued jobs run them to completion) → unblock and
+//! join the acceptor → join the sessions → write the checkpoint. Every
+//! admitted request is answered before the checkpoint is written; nothing
+//! is dropped silently.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use cqm_core::pipeline::QualifiedClassification;
-use cqm_parallel::WorkerPool;
 use cqm_persist::CheckpointHandle;
 use cqm_resilience::degrade::{DegradationLadder, DegradationPolicy, HealthState};
 
-use crate::batch::{run_worker, Job, Work};
+use crate::batch::{answer_next_batch, BatchScratch, Job, Work};
 use crate::dedup::{Claim, DedupConfig, DedupWindow};
 use crate::model::{ModelSource, ServeCheckpoint, ServedModel};
 use crate::protocol::{
@@ -45,9 +51,9 @@ use crate::{Result, ServeError};
 /// How often an idle session wakes to check for shutdown.
 const SESSION_POLL: Duration = Duration::from_millis(50);
 
-/// Longest a session waits for a worker to answer an admitted job. Workers
-/// answer every admitted job, so this only fires if a worker died — it
-/// converts a hung client into a typed internal error.
+/// Longest a duplicate request waits for its executing twin's answer.
+/// The twin answers every admitted job, so this only fires if the dedup
+/// slot was lost — it converts a hung client into a typed internal error.
 const REPLY_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Server tunables.
@@ -55,19 +61,22 @@ const REPLY_TIMEOUT: Duration = Duration::from_secs(60);
 pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Worker threads evaluating requests (clamped to at least 1).
+    /// Execution permits: how many sessions may evaluate queued work at
+    /// once (clamped to at least 1). No thread is started per permit.
     pub workers: usize,
-    /// Bounded queue capacity (clamped to at least 1).
+    /// Bounded queue capacity (clamped to at least 1): how many admitted
+    /// jobs may wait for a permit holder to evaluate them.
     pub queue_capacity: usize,
     /// What happens to requests arriving at a full queue.
     pub admission: AdmissionPolicy,
-    /// Most jobs a worker folds into one kernel sweep (clamped to at
-    /// least 1).
+    /// Most jobs a permit holder pops from the queue head per permit and
+    /// folds into one kernel sweep (clamped to at least 1).
     pub micro_batch: usize,
     /// Where to write the shutdown checkpoint; `None` disables it.
     pub checkpoint: Option<PathBuf>,
-    /// Artificial per-micro-batch evaluation delay — a load-shaping knob
-    /// for overload tests. `None` in production.
+    /// Artificial per-micro-batch evaluation delay, slept by the permit
+    /// holder while it holds the permit — a load-shaping knob for overload
+    /// tests. `None` in production.
     pub eval_delay: Option<Duration>,
     /// Overall budget for reading one frame once its first byte arrived —
     /// the slow-loris defense. `None` leaves only the stall-count backstop.
@@ -105,13 +114,49 @@ impl Default for ServerConfig {
     }
 }
 
-/// State shared by acceptor, sessions and workers.
+/// The execution permits ([`ServerConfig::workers`]) and the condvar a
+/// session waits on when none is free or when its own job is in another
+/// holder's hands.
+struct Permits {
+    free: Mutex<usize>,
+    changed: Condvar,
+}
+
+impl Permits {
+    fn lock(&self) -> MutexGuard<'_, usize> {
+        self.free.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Wake every waiting session after answering another session's job
+    /// outside a permit (the `DropOldest` shedder). Taking the lock first
+    /// is what makes the wake-up reliable: a waiter checks its reply
+    /// channel under this lock, so it has either seen the answer already
+    /// or is parked on the condvar by the time the lock is free.
+    fn wake_all(&self) {
+        let _free = self.lock();
+        self.changed.notify_all();
+    }
+}
+
+/// What one session keeps across requests: the one-slot reply channel its
+/// queued job is answered on, and the buffers it evaluates micro-batches
+/// with.
+struct SessionState {
+    reply_tx: mpsc::SyncSender<Response>,
+    reply_rx: mpsc::Receiver<Response>,
+    batch: BatchScratch,
+}
+
+/// State shared by the acceptor and the sessions.
 struct Shared {
     /// The tenant router: every classify admission passes through it and
     /// comes back with an engine lease (or a typed bulkhead answer).
     registry: ModelRegistry,
     queue: BoundedQueue<Job>,
     admission: AdmissionPolicy,
+    permits: Permits,
+    micro_batch: usize,
+    eval_delay: Option<Duration>,
     /// Set first during shutdown: sessions refuse new work, the acceptor
     /// stops accepting.
     draining: AtomicBool,
@@ -251,7 +296,6 @@ pub struct CqmServer {
     addr: SocketAddr,
     shared: Arc<Shared>,
     acceptor: Option<JoinHandle<()>>,
-    runtime: Option<JoinHandle<()>>,
     sessions: Arc<Mutex<Vec<JoinHandle<()>>>>,
     checkpoint: Option<CheckpointHandle>,
     model: ServedModel,
@@ -260,7 +304,7 @@ pub struct CqmServer {
 }
 
 impl CqmServer {
-    /// Resolve the model, bind the listener, start workers and acceptor.
+    /// Resolve the model, bind the listener, start the acceptor.
     ///
     /// # Errors
     ///
@@ -277,7 +321,6 @@ impl CqmServer {
             .map_err(|e| ServeError::io("reading bound address", &e))?;
 
         let workers = config.workers.max(1);
-        let micro_batch = config.micro_batch.max(1);
         let snapshot = SnapshotInfo {
             checkpoint_seq: resolved.seq,
             warm_started: resolved.warm_started,
@@ -290,6 +333,12 @@ impl CqmServer {
             registry,
             queue: BoundedQueue::new(config.queue_capacity),
             admission: config.admission,
+            permits: Permits {
+                free: Mutex::new(workers),
+                changed: Condvar::new(),
+            },
+            micro_batch: config.micro_batch.max(1),
+            eval_delay: config.eval_delay,
             draining: AtomicBool::new(false),
             stop_requested: Mutex::new(false),
             stop_cv: Condvar::new(),
@@ -308,25 +357,6 @@ impl CqmServer {
             write_timeout: config.write_timeout,
         });
 
-        let runtime = {
-            let shared = Arc::clone(&shared);
-            let eval_delay = config.eval_delay;
-            std::thread::spawn(move || {
-                // The pool's scoped threads are the worker loops: one
-                // chunk per worker, each blocking on the queue until it
-                // closes and drains.
-                let pool = WorkerPool::new(workers);
-                pool.run_chunks(workers, 1, |_chunk| {
-                    run_worker(
-                        &shared.queue,
-                        micro_batch,
-                        eval_delay,
-                        &shared.rows_classified,
-                    );
-                });
-            })
-        };
-
         let sessions: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let acceptor = {
             let shared = Arc::clone(&shared);
@@ -338,7 +368,6 @@ impl CqmServer {
             addr,
             shared,
             acceptor: Some(acceptor),
-            runtime: Some(runtime),
             sessions,
             checkpoint: config.checkpoint.map(CheckpointHandle::new),
             model: resolved.model,
@@ -423,7 +452,9 @@ impl CqmServer {
         // 1. No new work: sessions answer ShuttingDown, acceptor stops.
         self.shared.draining.store(true, Ordering::SeqCst);
         self.shared.request_stop();
-        // 2. Workers drain every admitted job, then exit.
+        // 2. Admission refuses from here on; every session that owns a
+        //    queued job stays in its run-to-completion loop until the job
+        //    is answered.
         self.shared.queue.close();
         // 3. The acceptor is parked in accept(); a throwaway connection
         //    wakes it so it can observe the draining flag. A failed
@@ -436,9 +467,8 @@ impl CqmServer {
         if let Some(h) = self.acceptor.take() {
             let _joined = h.join();
         }
-        if let Some(h) = self.runtime.take() {
-            let _joined = h.join();
-        }
+        // 4. Join the sessions: each returns only after writing every
+        //    answer it owes.
         let handles: Vec<JoinHandle<()>> = {
             let mut sessions = self
                 .sessions
@@ -449,7 +479,7 @@ impl CqmServer {
         for h in handles {
             let _joined = h.join();
         }
-        // 4. Only now — with every answer delivered — write the
+        // 5. Only now — with every answer delivered — write the
         //    checkpoint the next instance warm-starts from. The default
         //    tenant's *current* slot is what the next instance should
         //    serve, so a hot swap survives the restart; the boot model is
@@ -547,12 +577,15 @@ fn session(stream: &mut TcpStream, shared: &Shared) -> Result<()> {
         .set_write_timeout(shared.write_timeout)
         .map_err(|e| ServeError::io("configuring session socket", &e))?;
     // One reply channel per session: a session has at most one job in
-    // flight, so the channel is reused across requests. Capacity 1 — one
-    // slot for that single in-flight answer; workers `try_send`, so a
-    // stale reply arriving after `await_reply` timed out is dropped by the
-    // full buffer (and `submit` drains any leftover before the next job)
-    // instead of accumulating or being mistaken for the next answer.
+    // flight and stays in `run_to_completion` until that job's answer
+    // arrives, so the channel is empty whenever a job is pushed. Capacity
+    // 1 — one slot for that single answer, which its answerer `try_send`s.
     let (reply_tx, reply_rx) = mpsc::sync_channel::<Response>(1);
+    let mut state = SessionState {
+        reply_tx,
+        reply_rx,
+        batch: BatchScratch::default(),
+    };
     loop {
         match read_frame_within::<_, Request>(stream, shared.frame_deadline)? {
             FrameRead::Idle => {
@@ -562,30 +595,21 @@ fn session(stream: &mut TcpStream, shared: &Shared) -> Result<()> {
             }
             FrameRead::Eof => return Ok(()),
             FrameRead::Frame(request) => {
-                let response = handle_request(request, shared, &reply_tx, &reply_rx);
+                let response = handle_request(request, shared, &mut state);
                 write_frame(stream, &response)?;
             }
         }
     }
 }
 
-fn handle_request(
-    request: Request,
-    shared: &Shared,
-    reply_tx: &mpsc::SyncSender<Response>,
-    reply_rx: &mpsc::Receiver<Response>,
-) -> Response {
+fn handle_request(request: Request, shared: &Shared, state: &mut SessionState) -> Response {
     match request {
-        Request::Classify { id, tenant, cues } => {
-            with_dedup(shared, id, || {
-                submit(shared, tenant.as_deref(), Work::One(cues), reply_tx, reply_rx)
-            })
-        }
-        Request::ClassifyBatch { id, tenant, rows } => {
-            with_dedup(shared, id, || {
-                submit(shared, tenant.as_deref(), Work::Many(rows), reply_tx, reply_rx)
-            })
-        }
+        Request::Classify { id, tenant, cues } => with_dedup(shared, id, || {
+            submit(shared, tenant.as_deref(), Work::One(cues), state)
+        }),
+        Request::ClassifyBatch { id, tenant, rows } => with_dedup(shared, id, || {
+            submit(shared, tenant.as_deref(), Work::Many(rows), state)
+        }),
         Request::Snapshot => Response::Snapshot {
             info: shared.snapshot.clone(),
         },
@@ -621,13 +645,11 @@ fn with_dedup(shared: &Shared, id: RequestId, run: impl FnOnce() -> Response) ->
     }
 }
 
-fn submit(
-    shared: &Shared,
-    tenant: Option<&str>,
-    work: Work,
-    reply_tx: &mpsc::SyncSender<Response>,
-    reply_rx: &mpsc::Receiver<Response>,
-) -> Response {
+/// Admit one classify job and run it to completion. No fast path: there
+/// is no other way to evaluate a request, so every job goes through the
+/// bounded queue, and admission, the ladder and the queue counters see
+/// all of them.
+fn submit(shared: &Shared, tenant: Option<&str>, work: Work, state: &mut SessionState) -> Response {
     if shared.draining() {
         return Response::Error {
             error: WireError::shutting_down(),
@@ -642,28 +664,26 @@ fn submit(
         Ok(lease) => lease,
         Err(error) => return Response::Error { error },
     };
-    // A previous job may have answered after its `await_reply` timed out;
-    // clear the slot so this job cannot receive the stale response.
-    while reply_rx.try_recv().is_ok() {}
     let job = Job {
         work,
-        reply: reply_tx.clone(),
+        reply: state.reply_tx.clone(),
         engine: Arc::clone(&lease.engine),
     };
     match shared.queue.push(job, &shared.admission) {
         Admission::Enqueued => {
             shared.requests.fetch_add(1, Ordering::Relaxed);
-            settle(shared, await_reply(reply_rx))
+            settle(shared, run_to_completion(shared, state))
         }
         Admission::Shed(evicted) => {
-            // The evicted job's session is parked on its reply channel;
-            // complete it with the typed overload answer. A dead or full
-            // channel only means that session already gave up.
+            // The evicted job's owner waits in its run-to-completion loop
+            // and nobody else will answer it: send the typed overload
+            // answer, then wake the waiters (no lost answer).
             let _ = evicted.reply.try_send(Response::Error {
                 error: WireError::overloaded(),
             });
+            shared.permits.wake_all();
             shared.requests.fetch_add(1, Ordering::Relaxed);
-            settle(shared, await_reply(reply_rx))
+            settle(shared, run_to_completion(shared, state))
         }
         Admission::Rejected(job) => {
             let state = shared.ladder_event(false);
@@ -715,15 +735,63 @@ fn settle(shared: &Shared, response: Response) -> Response {
     response
 }
 
-fn await_reply(reply_rx: &mpsc::Receiver<Response>) -> Response {
-    match reply_rx.recv_timeout(REPLY_TIMEOUT) {
-        Ok(response) => response,
-        Err(mpsc::RecvTimeoutError::Timeout) => Response::Error {
-            error: WireError::internal("worker did not answer within the reply timeout"),
-        },
-        Err(mpsc::RecvTimeoutError::Disconnected) => Response::Error {
-            error: WireError::shutting_down(),
-        },
+/// Evaluate queued micro-batches under an execution permit until this
+/// session's own job has been answered, and return that answer.
+///
+/// The wake-up invariants (DESIGN.md §10):
+///
+/// * **No lost answer.** Whoever answers a job sends the answer before it
+///   takes the permit lock: a permit holder before it locks to release,
+///   the `DropOldest` shedder before [`Permits::wake_all`]. A waiter checks
+///   its reply channel while it holds that lock and only then waits, so
+///   an answer it missed is followed by a notify that finds it waiting.
+/// * **No stranded job.** Every queued job's owner is inside this loop,
+///   and every release wakes the waiters. An owner whose job is still
+///   queued takes the next free permit itself, and since every holder pops
+///   from the head, each batch moves its job closer to being answered.
+/// * **No starvation.** A holder takes one micro-batch per permit
+///   acquisition and leaves as soon as its own answer is in; it never
+///   drains the queue for sessions whose clients keep sending.
+/// * **No fast path.** The caller admitted the job through the bounded
+///   queue; nothing here evaluates work that did not come from it.
+fn run_to_completion(shared: &Shared, state: &mut SessionState) -> Response {
+    let permits = &shared.permits;
+    // Set when a pop found the queue empty: this session's job is in
+    // another holder's hands (or was shed), and that holder's release or
+    // the shedder's wake-up follows its answer. Waiting for it instead of
+    // re-taking the permit keeps a free permit from being spun on.
+    let mut in_other_hands = false;
+    let mut free = permits.lock();
+    loop {
+        // Checked under the permit lock: see "no lost answer".
+        if let Ok(response) = state.reply_rx.try_recv() {
+            return response;
+        }
+        if in_other_hands || *free == 0 {
+            free = permits
+                .changed
+                .wait(free)
+                .unwrap_or_else(PoisonError::into_inner);
+            in_other_hands = false;
+            continue;
+        }
+        *free -= 1;
+        drop(free);
+        // No starvation: one micro-batch per permit acquisition, then back
+        // to the answer check above.
+        let took = answer_next_batch(
+            &shared.queue,
+            shared.micro_batch,
+            shared.eval_delay,
+            &shared.rows_classified,
+            &mut state.batch,
+        );
+        // Every answer in the batch was sent above, before this lock.
+        free = permits.lock();
+        *free += 1;
+        // No stranded job: every release wakes the waiters.
+        permits.changed.notify_all();
+        in_other_hands = !took;
     }
 }
 
@@ -772,10 +840,10 @@ mod tests {
     #[test]
     fn health_counts_every_answer_already_delivered() {
         // A client holding an answer must find it counted in Health: the
-        // worker counts a job's rows before the reply leaves it. A spinning
-        // thread keeps one core busy, so the scheduler often preempts the
-        // worker right after its reply wakes the session — the moment an
-        // answer could overtake its count.
+        // permit holder counts a job's rows before the reply leaves it. A
+        // spinning thread keeps one core busy, so the scheduler often
+        // preempts the server right after the answer is written — the
+        // moment an answer could overtake its count.
         let server = CqmServer::start(
             ModelSource::Fresh(tiny_model()),
             ServerConfig {
@@ -880,6 +948,256 @@ mod tests {
         assert!(quick_client(server.local_addr()).classify(&[0.1]).is_ok());
         let health = server.shutdown().expect("shutdown");
         assert_eq!(health.session_errors, 0);
+    }
+
+    /// The bound on every call and on shutdown in the permit tests: far
+    /// below `REPLY_TIMEOUT`, so a missed wake-up fails a test instead of
+    /// being waited out.
+    const BOUND: Duration = Duration::from_secs(5);
+
+    fn bounded_client(addr: SocketAddr) -> CqmClient {
+        CqmClient::connect(
+            addr,
+            ClientConfig {
+                connect_timeout: BOUND,
+                io_timeout: BOUND,
+                call_deadline: BOUND,
+                // Surface Overloaded (and any transport fault) as is.
+                retries: 0,
+                ..ClientConfig::default()
+            },
+        )
+        .expect("connect")
+    }
+
+    /// Shut down on a helper thread and wait at most [`BOUND`]: a session
+    /// left parked by a missed wake-up would hang the join forever.
+    fn shutdown_bounded(server: CqmServer) -> ServerHealth {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(server.shutdown());
+        });
+        rx.recv_timeout(BOUND)
+            .expect("shutdown joined every session in time")
+            .expect("shutdown")
+    }
+
+    fn permit_server(config: ServerConfig) -> CqmServer {
+        CqmServer::start(ModelSource::Fresh(tiny_model()), config).expect("start")
+    }
+
+    /// The in-process answer for `x`, as `(class, quality bits, accept)`.
+    fn expected_bits(x: f64) -> (usize, Option<u64>, bool) {
+        let model = tiny_model();
+        let system = cqm_core::CqmSystem::new(
+            model.classifier().clone(),
+            model.model().measure.clone(),
+            model.filter().expect("filter"),
+        )
+        .expect("system");
+        bits(&system.classify_with_quality(&[x]).expect("reference"))
+    }
+
+    fn bits(q: &QualifiedClassification) -> (usize, Option<u64>, bool) {
+        (
+            q.class.0,
+            q.quality.value().map(f64::to_bits),
+            q.decision.is_accept(),
+        )
+    }
+
+    fn is_kind(outcome: &Result<QualifiedClassification>, kind: crate::WireErrorKind) -> bool {
+        matches!(outcome, Err(ServeError::Remote(e)) if e.kind == kind)
+    }
+
+    #[test]
+    fn one_permit_starves_no_closed_loop_client() {
+        // One permit, one job per batch and a batch slower than a
+        // client's round trip: nearly every call queues behind another
+        // session's and waits for a release, so a release that wakes
+        // nobody, or a session that never gets its turn, leaves some
+        // client waiting past the bound.
+        let server = permit_server(ServerConfig {
+            workers: 1,
+            micro_batch: 1,
+            eval_delay: Some(Duration::from_micros(200)),
+            ..ServerConfig::default()
+        });
+        let addr = server.local_addr();
+        let calls = 300usize;
+        let outcomes: Vec<Result<usize>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..3)
+                .map(|_| {
+                    scope.spawn(move || {
+                        let mut client = bounded_client(addr);
+                        for i in 0..calls {
+                            client.classify(&[(i % 100) as f64 / 100.0])?;
+                        }
+                        Ok(calls)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("client"))
+                .collect()
+        });
+        let health = shutdown_bounded(server);
+        for outcome in &outcomes {
+            assert_eq!(outcome.as_ref().ok(), Some(&calls), "{outcome:?}");
+        }
+        assert_eq!(health.rows_classified, 900);
+        assert_eq!(health.session_errors, 0);
+    }
+
+    #[test]
+    fn combined_micro_batches_answer_every_owner_bit_identically() {
+        // One permit and a 20-ms batch: while the holder sleeps, the other
+        // sessions' jobs queue up, and each later batch answers up to four
+        // sessions at once.
+        let server = permit_server(ServerConfig {
+            workers: 1,
+            micro_batch: 4,
+            eval_delay: Some(Duration::from_millis(20)),
+            ..ServerConfig::default()
+        });
+        let addr = server.local_addr();
+        let clients = 6usize;
+        let calls = 3usize;
+        let barrier = std::sync::Barrier::new(clients);
+        let answers: Vec<Vec<(f64, Result<QualifiedClassification>)>> =
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..clients)
+                    .map(|c| {
+                        let barrier = &barrier;
+                        scope.spawn(move || {
+                            let mut client = bounded_client(addr);
+                            barrier.wait();
+                            (0..calls)
+                                .map(|i| {
+                                    // Distinct cues per client, so an answer
+                                    // delivered to the wrong owner shows.
+                                    let x = (c * calls + i) as f64 / (clients * calls) as f64;
+                                    (x, client.classify(&[x]))
+                                })
+                                .collect()
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("client"))
+                    .collect()
+            });
+        let health = shutdown_bounded(server);
+        for (x, outcome) in answers.iter().flatten() {
+            match outcome {
+                Ok(answer) => assert_eq!(bits(answer), expected_bits(*x), "x={x}"),
+                Err(e) => panic!("x={x}: {e}"),
+            }
+        }
+        assert_eq!(health.rows_classified, (clients * calls) as u64);
+        assert!(health.queue_highwater >= 2, "jobs queued behind the holder");
+        assert_eq!(health.session_errors, 0);
+    }
+
+    #[test]
+    fn drop_oldest_answers_the_evicted_session_typed() {
+        let server = permit_server(ServerConfig {
+            workers: 1,
+            queue_capacity: 1,
+            admission: AdmissionPolicy::DropOldest,
+            eval_delay: Some(Duration::from_millis(100)),
+            ..ServerConfig::default()
+        });
+        let addr = server.local_addr();
+        let clients = 3usize;
+        let barrier = std::sync::Barrier::new(clients);
+        let outcomes: Vec<Result<QualifiedClassification>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..clients)
+                .map(|_| {
+                    let barrier = &barrier;
+                    scope.spawn(move || {
+                        let mut client = bounded_client(addr);
+                        barrier.wait();
+                        client.classify(&[0.75])
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("client"))
+                .collect()
+        });
+        let health = shutdown_bounded(server);
+        let mut overloaded = 0;
+        for outcome in &outcomes {
+            match outcome {
+                Ok(answer) => assert_eq!(bits(answer), expected_bits(0.75)),
+                other if is_kind(other, crate::WireErrorKind::Overloaded) => overloaded += 1,
+                other => panic!("want an answer or a typed Overloaded, got {other:?}"),
+            }
+        }
+        assert!(overloaded >= 1, "three pushes into one slot must shed");
+        assert!(health.shed >= 1);
+        assert_eq!(health.session_errors, 0);
+    }
+
+    #[test]
+    fn shutdown_mid_load_answers_every_admitted_job() {
+        let server = permit_server(ServerConfig {
+            workers: 1,
+            micro_batch: 1,
+            queue_capacity: 8,
+            eval_delay: Some(Duration::from_millis(50)),
+            ..ServerConfig::default()
+        });
+        let addr = server.local_addr();
+        let clients = 5u64;
+        let barrier = std::sync::Barrier::new(clients as usize + 1);
+        let (before, after, outcomes) = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..clients)
+                .map(|c| {
+                    let barrier = &barrier;
+                    scope.spawn(move || {
+                        let mut client = bounded_client(addr);
+                        barrier.wait();
+                        client.classify(&[c as f64 / 5.0])
+                    })
+                })
+                .collect();
+            barrier.wait();
+            // Shut down once every call is admitted: one job is being
+            // evaluated and the rest wait in the queue.
+            let admitted_by = std::time::Instant::now() + BOUND;
+            let before = loop {
+                let health = server.health();
+                if health.requests == clients || std::time::Instant::now() > admitted_by {
+                    break health;
+                }
+                std::thread::yield_now();
+            };
+            let after = shutdown_bounded(server);
+            let outcomes: Vec<_> = handles
+                .into_iter()
+                .map(|h| h.join().expect("client"))
+                .collect();
+            (before, after, outcomes)
+        });
+        assert_eq!(before.requests, clients, "every call admitted");
+        assert!(before.rows_classified < clients, "shutdown began mid-load");
+        let mut classified = 0u64;
+        for outcome in &outcomes {
+            match outcome {
+                Ok(_) => classified += 1,
+                other
+                    if is_kind(other, crate::WireErrorKind::ShuttingDown)
+                        || is_kind(other, crate::WireErrorKind::Overloaded) => {}
+                other => panic!("an in-flight call must end typed, got {other:?}"),
+            }
+        }
+        assert_eq!(after.rows_classified, classified);
+        assert_eq!(after.session_errors, 0);
     }
 
     #[test]

@@ -38,7 +38,7 @@ echo "==> cargo clippy -D warnings (crates held clippy-clean)"
 # The workspace [lints.clippy] table (float_cmp, unwrap_used) is enforced
 # crate by crate as each one is brought to zero findings; a crate on this
 # list must stay clean, with no #[allow] added to get there.
-cargo clippy -q -p cqm-fuzzy -p cqm-serve --all-targets --no-deps -- -D warnings
+cargo clippy -q -p cqm-fuzzy -p cqm-serve -p cqm-parallel -p cqm-persist --all-targets --no-deps -- -D warnings
 
 echo "==> cargo test"
 cargo test -q --workspace

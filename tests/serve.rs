@@ -284,8 +284,9 @@ fn batch_requests_are_atomic_and_survivable() {
     let server = start_default();
     let mut c = client(server.local_addr());
 
-    // A NaN row never even reaches the wire: JSON cannot represent it, so
-    // the client refuses at encode time with a typed local error.
+    // A NaN row never even reaches the wire: the v4 encoder refuses
+    // non-finite cues, so the client fails at encode time with a typed
+    // local error.
     let err = c
         .classify_batch(&[vec![0.2], vec![f64::NAN]])
         .expect_err("NaN row");
@@ -652,7 +653,7 @@ fn outdated_server_version_fails_the_client_fast_without_retries() {
         stream
             .set_read_timeout(Some(Duration::from_secs(10)))
             .expect("timeout");
-        // Consume the (valid v3) request, then answer in yesterday's
+        // Consume the (valid v4) request, then answer in yesterday's
         // dialect.
         match read_frame::<_, Request>(&mut stream) {
             Ok(FrameRead::Frame(_)) => {}
