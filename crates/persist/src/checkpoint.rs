@@ -245,10 +245,8 @@ mod tests {
     use super::*;
 
     fn scratch_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "cqm_persist_ckpt_{tag}_{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("cqm_persist_ckpt_{tag}_{}", std::process::id()));
         fs::create_dir_all(&dir).expect("scratch dir");
         dir
     }

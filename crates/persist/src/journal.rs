@@ -197,7 +197,10 @@ pub fn scan<T: Deserialize>(path: &Path) -> Result<JournalScan<T>> {
             break; // corrupt length prefix: treat as tail garbage
         }
         let start = pos + FRAME_HEADER_LEN;
-        let Some(end) = start.checked_add(len as usize).filter(|&e| e <= bytes.len()) else {
+        let Some(end) = start
+            .checked_add(len as usize)
+            .filter(|&e| e <= bytes.len())
+        else {
             break; // frame runs past EOF: torn payload
         };
         let payload = &bytes[start..end];
@@ -248,10 +251,8 @@ mod tests {
     use std::path::PathBuf;
 
     fn scratch_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "cqm_persist_journal_{tag}_{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("cqm_persist_journal_{tag}_{}", std::process::id()));
         fs::create_dir_all(&dir).expect("scratch dir");
         dir
     }

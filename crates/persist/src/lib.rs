@@ -36,10 +36,10 @@ pub use checkpoint::{
     decode_checkpoint_bytes, load_checkpoint, save_checkpoint, CheckpointHandle, CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
 };
-pub use store::{validate_key, CheckpointStore, MAX_KEY_LEN};
 pub use journal::{JournalScan, JournalWriter};
 pub use records::{JournalRecord, RunHeader, RuntimeCheckpoint};
 pub use recovery::{RecoveredRun, RecoveryManager};
+pub use store::{validate_key, CheckpointStore, MAX_KEY_LEN};
 
 /// Errors produced by the persistence layer.
 ///
@@ -165,8 +165,7 @@ mod tests {
         assert!(matches!(e, PersistError::Decode(_)));
         let e: PersistError = cqm_core::CqmError::InvalidInput("dim".into()).into();
         assert!(matches!(e, PersistError::InvalidState(_)));
-        let e: PersistError =
-            cqm_resilience::ResilienceError::InvalidConfig("zero".into()).into();
+        let e: PersistError = cqm_resilience::ResilienceError::InvalidConfig("zero".into()).into();
         assert!(matches!(e, PersistError::InvalidState(_)));
     }
 }

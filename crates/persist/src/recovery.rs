@@ -88,9 +88,9 @@ impl RecoveryManager {
     }
 
     fn writer(&mut self) -> Result<&mut JournalWriter> {
-        self.writer.as_mut().ok_or_else(|| {
-            PersistError::InvalidState("no active run: call begin_run first".into())
-        })
+        self.writer
+            .as_mut()
+            .ok_or_else(|| PersistError::InvalidState("no active run: call begin_run first".into()))
     }
 
     /// Start a fresh run: durably checkpoint the initial state, truncate
@@ -116,11 +116,10 @@ impl RecoveryManager {
     /// Propagates journal append failures.
     pub fn record_step(&mut self, report: &StepReport) -> Result<u64> {
         let seq = self.seq + 1;
-        self.writer()?
-            .append(&JournalRecord::Step {
-                seq,
-                report: report.clone(),
-            })?;
+        self.writer()?.append(&JournalRecord::Step {
+            seq,
+            report: report.clone(),
+        })?;
         self.seq = seq;
         Ok(seq)
     }
@@ -298,10 +297,7 @@ impl RecoveredRun {
     /// Returns [`PersistError::InvalidState`] if any restored component
     /// fails its owning crate's revalidation (threshold, policy, monitor,
     /// cue-dimension mismatch with `classifier`).
-    pub fn restore_supervisor<C: Classifier>(
-        &self,
-        classifier: C,
-    ) -> Result<SupervisedSystem<C>> {
+    pub fn restore_supervisor<C: Classifier>(&self, classifier: C) -> Result<SupervisedSystem<C>> {
         let filter = self.checkpoint.model.filter()?;
         let system = CqmSystem::new(classifier, self.checkpoint.model.measure.clone(), filter)?;
         let mut supervisor = SupervisedSystem::restore(system, &self.checkpoint.supervisor)?;

@@ -171,8 +171,14 @@ mod tests {
     #[test]
     fn per_key_round_trip_and_isolation() {
         let store = scratch_store("roundtrip");
-        let a = Blob { id: 1, weights: vec![0.5, 1.0 / 3.0] };
-        let b = Blob { id: 2, weights: vec![-0.25] };
+        let a = Blob {
+            id: 1,
+            weights: vec![0.5, 1.0 / 3.0],
+        };
+        let b = Blob {
+            id: 2,
+            weights: vec![-0.25],
+        };
         store.handle("alpha").unwrap().save(&a).unwrap();
         store.handle("beta").unwrap().save(&b).unwrap();
         assert_eq!(store.handle("alpha").unwrap().load::<Blob>().unwrap(), a);
@@ -185,7 +191,10 @@ mod tests {
     #[test]
     fn list_keys_is_sorted_and_skips_foreign_files() {
         let store = scratch_store("list");
-        let blob = Blob { id: 9, weights: vec![] };
+        let blob = Blob {
+            id: 9,
+            weights: vec![],
+        };
         for key in ["zeta", "alpha", "mid-7"] {
             store.handle(key).unwrap().save(&blob).unwrap();
         }

@@ -104,9 +104,7 @@ fn cacheable(response: &Response) -> bool {
         | Response::ClassifiedBatch { .. }
         | Response::ClassifiedDegraded { .. } => true,
         Response::Error { error } => error.kind == WireErrorKind::BadRequest,
-        Response::Snapshot { .. }
-        | Response::Health { .. }
-        | Response::ShuttingDown => false,
+        Response::Snapshot { .. } | Response::Health { .. } | Response::ShuttingDown => false,
     }
 }
 
@@ -179,9 +177,12 @@ impl DedupWindow {
                         None => break,
                     }
                 }
-                window
-                    .slots
-                    .insert(id.request, Slot::InFlight { waiters: Vec::new() });
+                window.slots.insert(
+                    id.request,
+                    Slot::InFlight {
+                        waiters: Vec::new(),
+                    },
+                );
                 window.order.push_back(id.request);
                 Claim::Execute
             }
@@ -215,7 +216,9 @@ impl DedupWindow {
                     parked = std::mem::take(waiters);
                 }
                 if cacheable(response) {
-                    window.slots.insert(id.request, Slot::Done(response.clone()));
+                    window
+                        .slots
+                        .insert(id.request, Slot::Done(response.clone()));
                 } else {
                     window.slots.remove(&id.request);
                     window.order.retain(|r| *r != id.request);

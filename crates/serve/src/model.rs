@@ -216,7 +216,8 @@ mod tests {
     use std::fs;
 
     fn scratch_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("cqm_serve_model_{tag}_{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("cqm_serve_model_{tag}_{}", std::process::id()));
         fs::create_dir_all(&dir).expect("scratch dir");
         dir
     }

@@ -262,8 +262,14 @@ mod tests {
     #[test]
     fn reject_policy_turns_away_at_capacity() {
         let q = BoundedQueue::new(2);
-        assert!(matches!(q.push(1, &AdmissionPolicy::Reject), Admission::Enqueued));
-        assert!(matches!(q.push(2, &AdmissionPolicy::Reject), Admission::Enqueued));
+        assert!(matches!(
+            q.push(1, &AdmissionPolicy::Reject),
+            Admission::Enqueued
+        ));
+        assert!(matches!(
+            q.push(2, &AdmissionPolicy::Reject),
+            Admission::Enqueued
+        ));
         match q.push(3, &AdmissionPolicy::Reject) {
             Admission::Rejected(item) => assert_eq!(item, 3),
             other => panic!("expected rejection, got {other:?}"),
@@ -406,7 +412,10 @@ mod tests {
         ));
         // Restoring the limit re-opens admission without losing anything.
         assert_eq!(q.set_limit(8), 8);
-        assert!(matches!(q.push(3, &AdmissionPolicy::Reject), Admission::Enqueued));
+        assert!(matches!(
+            q.push(3, &AdmissionPolicy::Reject),
+            Admission::Enqueued
+        ));
         let mut out = Vec::new();
         assert!(q.pop_batch(8, &mut out));
         assert_eq!(out, vec![1, 2, 3]);

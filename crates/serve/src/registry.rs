@@ -537,9 +537,7 @@ impl ModelRegistry {
                 None => false,
             };
             if !on_disk {
-                return Err(WireError::bad_request(format!(
-                    "unknown tenant {tenant:?}"
-                )));
+                return Err(WireError::bad_request(format!("unknown tenant {tenant:?}")));
             }
             let breaker = new_breaker(self.breaker_trip_after, self.breaker_cooldown)
                 .map_err(|e| WireError::internal(e.to_string()))?;
@@ -595,9 +593,7 @@ impl ModelRegistry {
             }
             SlotState::Cold => {
                 if self.store.is_none() {
-                    return Err(WireError::bad_request(format!(
-                        "unknown tenant {tenant:?}"
-                    )));
+                    return Err(WireError::bad_request(format!("unknown tenant {tenant:?}")));
                 }
                 slot.state = SlotState::Loading;
                 Ok(Admitted::MustLoad)
@@ -612,10 +608,7 @@ impl ModelRegistry {
             return Err(ServeError::InvalidConfig("no checkpoint store".into()));
         };
         let path = store.path(tenant)?;
-        let mut injector = self
-            .injector
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut injector = self.injector.lock().unwrap_or_else(PoisonError::into_inner);
         let ck: ServeCheckpoint = match injector.as_mut() {
             Some(inj) => {
                 let bytes = inj
@@ -629,10 +622,7 @@ impl ModelRegistry {
         // Re-validate semantics, not just integrity (same discipline as
         // ModelSource::resolve).
         let model = ServedModel::new(ck.model.classifier().clone(), ck.model.model().clone())?;
-        Ok(ServeCheckpoint {
-            seq: ck.seq,
-            model,
-        })
+        Ok(ServeCheckpoint { seq: ck.seq, model })
     }
 
     /// Install a finished load (or quarantine the tenant on failure) and
@@ -838,10 +828,7 @@ mod tests {
     use std::time::Duration;
 
     fn scratch_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "cqm_registry_{tag}_{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("cqm_registry_{tag}_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).expect("scratch dir");
         dir
@@ -1009,7 +996,9 @@ mod tests {
                 ..FleetConfig::default()
             },
         );
-        registry.install("t", model_with_threshold(0.5), 0).expect("install");
+        registry
+            .install("t", model_with_threshold(0.5), 0)
+            .expect("install");
         let before = registry.admit("t").expect("before swap");
         let new_seq = registry
             .swap("t", model_with_threshold(0.25))
@@ -1071,9 +1060,13 @@ mod tests {
                 ..FleetConfig::default()
             },
         );
-        registry.install("a", model_with_threshold(0.5), 0).expect("install a");
+        registry
+            .install("a", model_with_threshold(0.5), 0)
+            .expect("install a");
         // b claims the only live slot; a is evicted to Cold.
-        registry.install("b", model_with_threshold(0.5), 0).expect("install b");
+        registry
+            .install("b", model_with_threshold(0.5), 0)
+            .expect("install b");
         // Swapping the evicted tenant validates and persists the new
         // generation without forcing it live past the LRU budget.
         let new_seq = registry
@@ -1101,7 +1094,8 @@ mod tests {
     fn swap_repairs_a_quarantined_tenant() {
         let dir = scratch_dir("swaprepair");
         let seed = stored_registry(&dir, FleetConfig::default());
-        seed.install("t", model_with_threshold(0.5), 1).expect("install");
+        seed.install("t", model_with_threshold(0.5), 1)
+            .expect("install");
         drop(seed);
         // Corrupt the checkpoint, then quarantine the tenant on first load.
         let path = dir.join("t.ckpt");
