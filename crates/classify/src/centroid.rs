@@ -129,7 +129,8 @@ mod tests {
         let clf = NearestCentroid::train(&corner_data()).unwrap();
         let c0 = clf.centroid(ClassId(0)).unwrap();
         assert!((c0[0] - 0.045).abs() < 1e-12);
-        assert_eq!(c0[1], 0.0);
+        // The mean of exact zeros is exactly +0.0.
+        assert_eq!(c0[1].to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

@@ -11,8 +11,10 @@ fn separated_dataset() -> impl Strategy<Value = (ClassifiedDataset, f64, f64)> {
         let mut d = ClassifiedDataset::new(1, 2);
         for i in 0..n {
             let jitter = (i as f64 * 0.7).sin();
-            d.push(vec![center - gap + jitter], ClassId(0)).unwrap();
-            d.push(vec![center + gap + jitter], ClassId(1)).unwrap();
+            d.push(vec![center - gap + jitter], ClassId(0))
+                .expect("1-D row of a declared class");
+            d.push(vec![center + gap + jitter], ClassId(1))
+                .expect("1-D row of a declared class");
         }
         (d, center - gap, center + gap)
     })

@@ -96,10 +96,10 @@ impl ScheduledFault {
             FaultKind::Drift { rate } if !rate.is_finite() => Err(ResilienceError::InvalidConfig(
                 format!("drift rate {rate} must be finite"),
             )),
-            FaultKind::Latency { windows } if windows == 0 => Err(ResilienceError::InvalidConfig(
+            FaultKind::Latency { windows: 0 } => Err(ResilienceError::InvalidConfig(
                 "latency of 0 windows is not a fault".into(),
             )),
-            FaultKind::Flapping { period } if period == 0 => Err(ResilienceError::InvalidConfig(
+            FaultKind::Flapping { period: 0 } => Err(ResilienceError::InvalidConfig(
                 "flapping period must be positive".into(),
             )),
             _ => Ok(()),
@@ -402,8 +402,8 @@ mod tests {
         let mut inj = FaultInjector::new(&plan(FaultKind::StuckAt(None), None, 2, 5));
         let out = inj.corrupt_stream(&stream(6));
         // Frozen at window 2's clean values for the whole fault.
-        for i in 2..5 {
-            assert_eq!(out[i].cues.as_ref().map(|c| c[0]), Some(2.0));
+        for window in &out[2..5] {
+            assert_eq!(window.cues.as_ref().map(|c| c[0]), Some(2.0));
         }
         assert_eq!(out[5].cues.as_ref().map(|c| c[0]), Some(5.0));
     }

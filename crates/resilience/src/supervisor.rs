@@ -341,7 +341,7 @@ impl<C: Classifier> SupervisedSystem<C> {
         for attempt in 0..=self.config.max_retries {
             if attempt > 0 {
                 retries = attempt;
-                let backoff = self.config.backoff_base * (1u32 << (attempt - 1).min(16)) as u32;
+                let backoff = self.config.backoff_base * (1u32 << (attempt - 1).min(16));
                 if backoff > Duration::ZERO {
                     std::thread::sleep(backoff);
                 }

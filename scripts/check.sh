@@ -34,11 +34,17 @@ if [ "$ANALYZE_OK" -ne 0 ]; then
     exit "$ANALYZE_OK"
 fi
 
+echo "==> cargo fmt --check (crates held rustfmt-clean)"
+# Formatting is enforced crate by crate as each one is brought to zero
+# drift, so a later `cargo fmt` run cannot mix reformatting into a change.
+cargo fmt -p cqm-persist -p cqm-serve -- --check
+
 echo "==> cargo clippy -D warnings (crates held clippy-clean)"
 # The workspace [lints.clippy] table (float_cmp, unwrap_used) is enforced
 # crate by crate as each one is brought to zero findings; a crate on this
 # list must stay clean, with no #[allow] added to get there.
-cargo clippy -q -p cqm-fuzzy -p cqm-serve -p cqm-parallel -p cqm-persist --all-targets --no-deps -- -D warnings
+cargo clippy -q -p cqm-fuzzy -p cqm-serve -p cqm-parallel -p cqm-persist \
+    -p cqm-resilience -p cqm-classify --all-targets --no-deps -- -D warnings
 
 echo "==> cargo test"
 cargo test -q --workspace

@@ -312,6 +312,49 @@ fn batch_requests_are_atomic_and_survivable() {
 }
 
 #[test]
+fn frames_sent_in_one_write_are_answered_in_order() {
+    let model = tiny_model();
+    let reference = reference_system(&model);
+    let server = start_default();
+
+    // Two classify frames in one write_all: the session's buffered reader
+    // may take both in one read, and must answer the second from its
+    // buffer rather than wait on the socket for it.
+    let cues = [vec![0.1], vec![0.9]];
+    let mut bytes = Vec::new();
+    for (request, cue) in (1..).zip(&cues) {
+        let frame = encode_frame(&Request::Classify {
+            id: RequestId {
+                session: 900,
+                request,
+            },
+            tenant: None,
+            cues: cue.clone(),
+        })
+        .expect("encode");
+        bytes.extend_from_slice(&frame);
+    }
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect raw");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    stream.write_all(&bytes).expect("write both frames");
+    for (i, cue) in cues.iter().enumerate() {
+        let expected = reference.classify_with_quality(cue).expect("reference");
+        match read_frame::<_, Response>(&mut stream).expect("read answer") {
+            FrameRead::Frame(Response::Classified { result }) => {
+                assert_bit_identical(&result, &expected, &format!("answer {i}"));
+            }
+            other => panic!("answer {i}: expected Classified, got {other:?}"),
+        }
+    }
+    drop(stream);
+    let health = server.shutdown().expect("shutdown");
+    assert_eq!(health.rows_classified, 2);
+    assert_eq!(health.session_errors, 0);
+}
+
+#[test]
 fn overload_produces_typed_answers_and_the_server_recovers() {
     let model = tiny_model();
     let reference = reference_system(&model);
