@@ -169,7 +169,10 @@ mod tests {
         let mut p = TrendPredictor::new(3, 0.02).unwrap();
         p.observe(ClassId(0), v(0.9));
         p.observe(ClassId(0), v(0.8));
-        assert_eq!(p.observe(ClassId(0), Quality::Epsilon), PredictionHint::Warmup);
+        assert_eq!(
+            p.observe(ClassId(0), Quality::Epsilon),
+            PredictionHint::Warmup
+        );
         assert_eq!(p.observe(ClassId(0), v(0.7)), PredictionHint::Warmup);
     }
 

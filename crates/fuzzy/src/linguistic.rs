@@ -50,7 +50,12 @@ pub fn verbalize_rule(rule: &TskRule, index: usize, names: &VariableNames) -> St
         .collect();
     // lint: allow(PANIC_IN_LIB) -- TskRule::new guarantees consequent.len() == input_dim() + 1
     terms.push(format!("{:+.4}", rule.consequent()[n]));
-    format!("R{}: IF {} THEN f = {}", index + 1, antecedent, terms.join(" "))
+    format!(
+        "R{}: IF {} THEN f = {}",
+        index + 1,
+        antecedent,
+        terms.join(" ")
+    )
 }
 
 /// Render every rule of a TSK system, one per line.

@@ -353,7 +353,9 @@ mod tests {
         // inside the unit test while still covering a "generic" matrix.
         let mut state = 0x2545F4914F6CDD1Du64;
         let mut next = || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
         };
         let m = 12;
