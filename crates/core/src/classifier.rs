@@ -137,7 +137,7 @@ mod tests {
     #[test]
     fn class_id_conversions() {
         let c: ClassId = 3.into();
-        assert_eq!(c.as_f64(), 3.0);
+        assert_eq!(c.as_f64().to_bits(), 3.0f64.to_bits());
         assert_eq!(c.to_string(), "class#3");
         assert_eq!(ClassId::default(), ClassId(0));
     }

@@ -146,6 +146,6 @@ mod tests {
         let f = QualityFilter::new(0.81).unwrap();
         let json = serde_json::to_string(&f).unwrap();
         let back: QualityFilter = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.threshold(), 0.81);
+        assert_eq!(back.threshold().to_bits(), 0.81f64.to_bits());
     }
 }

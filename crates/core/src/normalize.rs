@@ -77,12 +77,10 @@ pub fn normalize(x: f64) -> Quality {
     } else {
         Quality::Epsilon
     };
-    if cfg!(feature = "strict-math") {
-        debug_assert!(
-            q.value().map_or(true, |v| (0.0..=1.0).contains(&v)),
-            "L-normalization left [0, 1]: L({x}) = {q}"
-        );
-    }
+    debug_assert!(
+        q.value().is_none_or(|v| (0.0..=1.0).contains(&v)),
+        "L-normalization left [0, 1]: L({x}) = {q}"
+    );
     q
 }
 
@@ -160,8 +158,11 @@ mod tests {
         assert_eq!(Quality::Epsilon.value(), None);
         assert!(Quality::Epsilon.is_epsilon());
         assert!(!Quality::Value(0.0).is_epsilon());
-        assert_eq!(Quality::Epsilon.value_or(0.0), 0.0);
-        assert_eq!(Quality::Value(0.7).value_or(0.0), 0.7);
+        assert_eq!(Quality::Epsilon.value_or(0.0).to_bits(), 0.0f64.to_bits());
+        assert_eq!(
+            Quality::Value(0.7).value_or(0.0).to_bits(),
+            0.7f64.to_bits()
+        );
     }
 
     #[test]

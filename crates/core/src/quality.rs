@@ -50,14 +50,12 @@ impl QualityMeasure {
 
     /// Assemble the joint vector `v_Q = (v_C, c)` (§2.1.1).
     pub fn joint_input(&self, cues: &[f64], class: ClassId) -> Vec<f64> {
-        if cfg!(feature = "strict-math") {
-            debug_assert!(
-                cues.len() == self.cue_dim(),
-                "joint_input: {} cues, measure expects {}",
-                cues.len(),
-                self.cue_dim()
-            );
-        }
+        debug_assert!(
+            cues.len() == self.cue_dim(),
+            "joint_input: {} cues, measure expects {}",
+            cues.len(),
+            self.cue_dim()
+        );
         let mut v = Vec::with_capacity(cues.len() + 1);
         v.extend_from_slice(cues);
         v.push(class.as_f64());
@@ -184,12 +182,10 @@ fn qualify(raw: Result<f64>) -> Result<Quality> {
         Err(CqmError::Fuzzy(cqm_fuzzy::FuzzyError::NoRuleFired)) => Quality::Epsilon,
         Err(e) => return Err(e),
     };
-    if cfg!(feature = "strict-math") {
-        debug_assert!(
-            q.value().is_none_or(|v| (0.0..=1.0).contains(&v)),
-            "quality left [0, 1] union eps: {q}"
-        );
-    }
+    debug_assert!(
+        q.value().is_none_or(|v| (0.0..=1.0).contains(&v)),
+        "quality left [0, 1] union eps: {q}"
+    );
     Ok(q)
 }
 

@@ -57,9 +57,7 @@ impl MembershipFunction {
 
     /// Membership degree at `x`, always in `[0, 1]`.
     pub fn eval(&self, x: f64) -> f64 {
-        if cfg!(feature = "strict-math") {
-            debug_assert!(!x.is_nan(), "membership eval: NaN input");
-        }
+        debug_assert!(!x.is_nan(), "membership eval: NaN input");
         let MembershipFunction::Gaussian { mu, sigma } = *self;
         let z = (x - mu) / sigma;
         (-0.5 * z * z).exp()
@@ -67,7 +65,7 @@ impl MembershipFunction {
 
     /// Partial derivatives `(∂F/∂µ, ∂F/∂σ)` at `x`, used by the ANFIS
     /// backward pass.
-    // lint: allow(ASSERT_DENSITY) -- gradients are defined for all real x; eval guards NaN under strict-math
+    // lint: allow(ASSERT_DENSITY) -- gradients are defined for all real x; eval guards NaN in debug builds
     pub fn gaussian_grad(&self, x: f64) -> (f64, f64) {
         let MembershipFunction::Gaussian { mu, sigma } = *self;
         let f = self.eval(x);

@@ -163,6 +163,6 @@ mod tests {
     #[test]
     fn empty_density_is_zero() {
         let h = Histogram::new(0.0, 1.0, 2).unwrap();
-        assert_eq!(h.density(0), 0.0);
+        assert_eq!(h.density(0).to_bits(), 0.0f64.to_bits());
     }
 }

@@ -217,9 +217,7 @@ impl Matrix {
 
     /// Scalar multiple.
     pub fn scale(&self, k: f64) -> Matrix {
-        if cfg!(feature = "strict-math") {
-            debug_assert!(k.is_finite(), "Matrix::scale: non-finite factor {k}");
-        }
+        debug_assert!(k.is_finite(), "Matrix::scale: non-finite factor {k}");
         Matrix {
             rows: self.rows,
             cols: self.cols,
@@ -296,7 +294,7 @@ mod tests {
         let m = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
         assert_eq!(m.rows(), 2);
         assert_eq!(m.cols(), 3);
-        assert_eq!(m[(0, 2)], 3.0);
+        assert_eq!(m[(0, 2)].to_bits(), 3.0f64.to_bits());
         assert_eq!(m.row(1), &[4.0, 5.0, 6.0]);
         assert_eq!(m.col(1), vec![2.0, 5.0]);
     }
@@ -348,7 +346,7 @@ mod tests {
     fn transpose_involution() {
         let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
         assert_eq!(a.transpose().transpose(), a);
-        assert_eq!(a.transpose()[(2, 1)], 6.0);
+        assert_eq!(a.transpose()[(2, 1)].to_bits(), 6.0f64.to_bits());
     }
 
     #[test]
@@ -363,8 +361,8 @@ mod tests {
     #[test]
     fn norms() {
         let a = Matrix::from_rows(&[&[3.0, 0.0], &[0.0, 4.0]]);
-        assert_eq!(a.frobenius_norm(), 5.0);
-        assert_eq!(a.max_abs(), 4.0);
+        assert_eq!(a.frobenius_norm().to_bits(), 5.0f64.to_bits());
+        assert_eq!(a.max_abs().to_bits(), 4.0f64.to_bits());
     }
 
     #[test]

@@ -187,7 +187,7 @@ mod tests {
     fn r_is_upper_triangular_with_correct_gram() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
         let r = Qr::new(&a).unwrap().r();
-        assert_eq!(r[(1, 0)], 0.0);
+        assert_eq!(r[(1, 0)].to_bits(), 0.0f64.to_bits());
         // RᵀR must equal AᵀA.
         let rtr = r.transpose().matmul(&r).unwrap();
         let ata = a.transpose().matmul(&a).unwrap();

@@ -111,8 +111,14 @@ mod tests {
 
     #[test]
     fn bisect_exact_endpoint() {
-        assert_eq!(bisect(|x| x, 0.0, 1.0, 1e-12).unwrap(), 0.0);
-        assert_eq!(bisect(|x| x - 1.0, 0.0, 1.0, 1e-12).unwrap(), 1.0);
+        assert_eq!(
+            bisect(|x| x, 0.0, 1.0, 1e-12).unwrap().to_bits(),
+            0.0f64.to_bits()
+        );
+        assert_eq!(
+            bisect(|x| x - 1.0, 0.0, 1.0, 1e-12).unwrap().to_bits(),
+            1.0f64.to_bits()
+        );
     }
 
     #[test]

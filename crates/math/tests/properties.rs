@@ -18,8 +18,9 @@ fn finite_f64(range: std::ops::Range<f64>) -> impl Strategy<Value = f64> {
 fn small_matrix() -> impl Strategy<Value = Matrix> {
     (2usize..8, 1usize..5).prop_flat_map(|(m, n)| {
         let m = m.max(n);
-        prop::collection::vec(finite_f64(-10.0..10.0), m * n)
-            .prop_map(move |data| Matrix::from_vec(m, n, data).unwrap())
+        prop::collection::vec(finite_f64(-10.0..10.0), m * n).prop_map(move |data| {
+            Matrix::from_vec(m, n, data).expect("m * n values fill an m x n matrix")
+        })
     })
 }
 

@@ -6,16 +6,12 @@
 //! kernel paths: [`ClassifierKernel`] for the class, [`QualityKernel`] for
 //! `q`, both proven bit-identical to the plain `CqmSystem` evaluation.
 //! A session holding an execution permit pops up to `micro_batch` queued
-//! jobs at a time and folds every single-classify request in the batch
-//! into **one** kernel sweep ([`ClassifierKernel::classify_batch_into`]);
-//! because the batched sweep is itself bit-identical to row-wise
-//! evaluation, micro-batching is invisible in the answers — only in the
-//! throughput.
-//!
-//! Failure containment: jobs in a micro-batch are independent requests
-//! from unrelated clients, so one malformed row must not fail its batch
-//! peers. The sweep is optimistic; if any row errors, the step falls back
-//! to row-wise evaluation and each job gets its own verdict.
+//! jobs at a time and answers each one in order, on the engine its job
+//! carries: a single-classify request through [`Engine::classify_one`], a
+//! batch request through [`Engine::classify_rows`]. Each job is evaluated
+//! on its own, so it gets its own verdict and one client's malformed row
+//! cannot fail its micro-batch peers, while a client-visible
+//! `ClassifyBatch` stays atomic (its first error rejects it whole).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -156,39 +152,6 @@ impl Engine {
         }
         Ok(())
     }
-
-    /// Evaluate independent single-classify rows, one verdict per row.
-    /// Optimistically sweeps all rows through one kernel pass; on any
-    /// failure, falls back to row-wise evaluation so each row gets its own
-    /// verdict and one bad row cannot fail its micro-batch peers.
-    fn eval_singles(
-        &self,
-        rows: &[Vec<f64>],
-        scratch: &mut EngineScratch,
-        out: &mut Vec<std::result::Result<QualifiedClassification, CqmError>>,
-    ) {
-        out.clear();
-        out.reserve(rows.len());
-        let swept = self
-            .classifier
-            .classify_batch_into(
-                rows,
-                &mut scratch.tsk,
-                &mut scratch.raw,
-                &mut scratch.classes,
-            )
-            .is_ok()
-            && scratch.classes.len() == rows.len();
-        if swept {
-            for (row, &class) in rows.iter().zip(scratch.classes.iter()) {
-                out.push(self.finish(row, class, &mut scratch.quality));
-            }
-        } else {
-            for row in rows {
-                out.push(self.classify_one(row, scratch));
-            }
-        }
-    }
 }
 
 /// Translate an evaluation failure into wire vocabulary: input-dependent
@@ -201,31 +164,21 @@ pub(crate) fn to_wire(e: &CqmError) -> WireError {
     }
 }
 
-/// One session's micro-batch buffers: the popped jobs, the engine scratch
-/// and the rows of single-classify jobs grouped by engine. Empty until the
-/// first batch sizes them, then reused for every batch.
+/// One session's micro-batch buffers: the popped jobs and the engine
+/// scratch. Empty until the first batch sizes them, then reused for every
+/// batch.
 #[derive(Debug, Default)]
 pub(crate) struct BatchScratch {
     jobs: Vec<Job>,
     engine: EngineScratch,
-    single_rows: Vec<Vec<f64>>,
-    single_engines: Vec<Arc<Engine>>,
-    run_results: Vec<std::result::Result<QualifiedClassification, CqmError>>,
-    single_results: Vec<std::result::Result<QualifiedClassification, CqmError>>,
 }
 
 /// Pop up to `micro_batch` jobs from the queue head without blocking and
-/// answer every one on its reply channel. Returns whether it took
-/// anything. `eval_delay` is a load-shaping knob for tests — it simulates
-/// a slower model by sleeping once per popped batch.
-///
-/// With multi-tenant routing, jobs in one micro-batch may carry different
-/// engines. Single-classify rows are still folded into combined kernel
-/// sweeps, one sweep per maximal run of consecutive same-engine jobs
-/// (tenant traffic tends to arrive in bursts, so runs are long in
-/// practice); runs are compared by `Arc` identity, never by model
-/// contents. Because the batched sweep is bit-identical to row-wise
-/// evaluation, the grouping is invisible in the answers.
+/// answer every one on its reply channel, in order, with the engine its
+/// job carries (with multi-tenant routing, jobs in one micro-batch may
+/// carry different engines). Returns whether it took anything.
+/// `eval_delay` is a load-shaping knob for tests — it simulates a slower
+/// model by sleeping once per popped batch.
 pub(crate) fn answer_next_batch(
     queue: &BoundedQueue<Job>,
     micro_batch: usize,
@@ -236,10 +189,6 @@ pub(crate) fn answer_next_batch(
     let BatchScratch {
         jobs,
         engine: engine_scratch,
-        single_rows,
-        single_engines,
-        run_results,
-        single_results,
     } = scratch;
     if !queue.pop_batch(micro_batch, jobs) {
         return false;
@@ -247,63 +196,20 @@ pub(crate) fn answer_next_batch(
     if let Some(delay) = eval_delay {
         std::thread::sleep(delay);
     }
-    // Gather every single-classify row in this micro-batch alongside the
-    // engine its lease pinned. The cue vectors are moved out (not cloned)
-    // and the engine refs are `Arc` bumps, not allocations; the jobs keep
-    // empty husks.
-    single_rows.clear();
-    single_engines.clear();
-    for job in jobs.iter_mut() {
-        if let Work::One(cues) = &mut job.work {
-            single_rows.push(std::mem::take(cues));
-            single_engines.push(Arc::clone(&job.engine));
-        }
-    }
-    // Sweep each maximal consecutive same-engine run in one kernel pass;
-    // results land in request order. `run >= 1` always (the first element
-    // matches itself), so both splits are in bounds and the loop strictly
-    // shrinks.
-    single_results.clear();
-    let mut rows_left: &[Vec<f64>] = single_rows;
-    let mut engines_left: &[Arc<Engine>] = single_engines;
-    while let Some(engine) = engines_left.first() {
-        let run = engines_left
-            .iter()
-            .take_while(|e| Arc::ptr_eq(e, engine))
-            .count();
-        let (run_rows, rest_rows) = rows_left.split_at(run.min(rows_left.len()));
-        engine.eval_singles(run_rows, engine_scratch, run_results);
-        single_results.append(run_results);
-        rows_left = rest_rows;
-        let (_, rest_engines) = engines_left.split_at(run);
-        engines_left = rest_engines;
-    }
-    let mut singles = single_results.drain(..);
     for job in jobs.drain(..) {
-        let mut answered_rows = 0u64;
-        let response = match job.work {
-            Work::One(_) => match singles.next() {
-                Some(Ok(result)) => {
-                    answered_rows += 1;
-                    Response::Classified { result }
-                }
-                Some(Err(e)) => Response::Error { error: to_wire(&e) },
-                // Bookkeeping mismatch; typed rather than asserted.
-                None => Response::Error {
-                    error: WireError::internal("micro-batch bookkeeping mismatch"),
-                },
+        let (response, answered_rows) = match &job.work {
+            Work::One(cues) => match job.engine.classify_one(cues, engine_scratch) {
+                Ok(result) => (Response::Classified { result }, 1),
+                Err(e) => (Response::Error { error: to_wire(&e) }, 0),
             },
             Work::Many(rows) => {
                 let mut results = Vec::with_capacity(rows.len());
-                match job
-                    .engine
-                    .classify_rows(&rows, engine_scratch, &mut results)
-                {
+                match job.engine.classify_rows(rows, engine_scratch, &mut results) {
                     Ok(()) => {
-                        answered_rows += results.len() as u64;
-                        Response::ClassifiedBatch { results }
+                        let answered = results.len() as u64;
+                        (Response::ClassifiedBatch { results }, answered)
                     }
-                    Err(e) => Response::Error { error: to_wire(&e) },
+                    Err(e) => (Response::Error { error: to_wire(&e) }, 0),
                 }
             }
         };
@@ -382,13 +288,57 @@ mod tests {
         let mut out = Vec::new();
         let rows = vec![vec![0.1], vec![f64::NAN], vec![0.9]];
         assert!(engine.classify_rows(&rows, &mut scratch, &mut out).is_err());
-        // The same rows as independent singles: good rows still answer.
-        let mut results = Vec::new();
-        engine.eval_singles(&rows, &mut scratch, &mut results);
-        assert_eq!(results.len(), 3);
-        assert!(results[0].is_ok());
-        assert!(results[1].is_err());
-        assert!(results[2].is_ok());
+        // Independent same-engine singles popped as one micro-batch, with
+        // the NaN row in the middle: every peer still gets its own answer.
+        let engine = Arc::new(engine);
+        let singles = [0.1, 0.3, 0.45, f64::NAN, 0.6, 0.75, 0.9];
+        let queue = BoundedQueue::new(16);
+        let rows_classified = AtomicU64::new(0);
+        let mut receivers = Vec::new();
+        for &x in &singles {
+            let (tx, rx) = mpsc::sync_channel(1);
+            assert!(matches!(
+                queue.push(
+                    Job {
+                        work: Work::One(vec![x]),
+                        reply: tx,
+                        engine: Arc::clone(&engine)
+                    },
+                    &AdmissionPolicy::Reject
+                ),
+                crate::queue::Admission::Enqueued
+            ));
+            receivers.push(rx);
+        }
+        let mut batch_scratch = BatchScratch::default();
+        assert!(answer_next_batch(
+            &queue,
+            singles.len(),
+            None,
+            &rows_classified,
+            &mut batch_scratch
+        ));
+        assert!(queue.is_empty(), "one micro-batch takes every single");
+        for (rx, &x) in receivers.into_iter().zip(&singles) {
+            let resp = rx.try_recv().expect("answered");
+            if x.is_nan() {
+                let Response::Error { error } = resp else {
+                    panic!("expected Error for the NaN row, got {resp:?}");
+                };
+                assert_eq!(error.kind, crate::protocol::WireErrorKind::BadRequest);
+                continue;
+            }
+            let Response::Classified { result } = resp else {
+                panic!("expected Classified for x={x}, got {resp:?}");
+            };
+            let alone = engine.classify_one(&[x], &mut scratch).expect("single");
+            assert_eq!(bits(&result), bits(&alone), "x={x}");
+        }
+        assert_eq!(
+            rows_classified.load(Ordering::Relaxed),
+            (singles.len() - 1) as u64,
+            "only the good rows are counted"
+        );
     }
 
     #[test]
