@@ -103,8 +103,7 @@ pub fn genfis_grid(data: &Dataset, params: &GridParams) -> Result<TskFis> {
     let mut rules = Vec::with_capacity(rules_needed as usize);
     let mut idx = vec![0usize; n];
     loop {
-        let antecedents: Vec<MembershipFunction> =
-            (0..n).map(|d| mfs[d][idx[d]].clone()).collect();
+        let antecedents: Vec<MembershipFunction> = (0..n).map(|d| mfs[d][idx[d]].clone()).collect();
         rules.push(TskRule::new(antecedents, vec![0.0; n + 1])?);
         let mut d = 0;
         loop {

@@ -22,9 +22,9 @@ use serde::{Deserialize, Serialize};
 use crate::backprop::{apply_premise_step, premise_gradients_with};
 use crate::dataset::Dataset;
 use crate::lse::fit_consequents_with;
-use crate::{rmse_with, AnfisError, Result};
 #[cfg(test)]
 use crate::rmse;
+use crate::{rmse_with, AnfisError, Result};
 
 /// Configuration of the hybrid training loop.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -37,7 +37,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-
 // `!(x > 0.0)` is the intentional NaN-rejecting guard in training code.
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 

@@ -45,7 +45,10 @@ pub fn fuzzy_c_means(data: &[Vec<f64>], c: usize, m: f64, seed: u64) -> Result<F
         });
     }
     if !(m > 1.0 && m.is_finite()) {
-        return Err(ClusterError::InvalidParameter { name: "m", value: m });
+        return Err(ClusterError::InvalidParameter {
+            name: "m",
+            value: m,
+        });
     }
     let n = data.len();
     if c > n {
