@@ -1,6 +1,7 @@
 //! ABL-HYBRID — does the ANFIS hybrid learning (§2.2.3–2.2.4) improve the
 //! quality measure over the pure genfis initialisation (clustering + one
-//! least-squares fit)?
+//! least-squares fit)? Training times go to stderr, so stdout is the same
+//! bytes on every run.
 //!
 //! ```sh
 //! cargo run --release -p cqm-bench --bin ablation_hybrid
@@ -27,8 +28,8 @@ fn main() {
         FisClassifier::train(&data, &FisClassifierConfig::default()).expect("classifier");
     let truth: Vec<ClassId> = data.labels().to_vec();
 
-    println!("epochs   stopped-early   best-epoch   check-RMSE   selection   AUC     time");
-    println!("------   -------------   ----------   ----------   ---------   -----   ------");
+    println!("epochs   stopped-early   best-epoch   check-RMSE   selection   AUC");
+    println!("------   -------------   ----------   ----------   ---------   -----");
     for epochs in [1usize, 5, 20, 40, 80] {
         let config = CqmTrainingConfig {
             hybrid: HybridConfig {
@@ -39,7 +40,7 @@ fn main() {
         };
         let start = Instant::now();
         let trained = train_cqm(&classifier, data.cues(), &truth, &config).expect("training");
-        let elapsed = start.elapsed();
+        eprintln!("{epochs} epochs: trained in {:.1?}", start.elapsed());
         let check = trained.report.final_check_error().unwrap_or(f64::NAN);
         let build = cqm_appliance::pen::PenBuild {
             classifier: classifier.clone(),
@@ -50,7 +51,7 @@ fn main() {
         let pool = evaluation_pool(&tb, 909, 2);
         let a = auc(&labeled_qualities(&pool)).unwrap_or(f64::NAN);
         println!(
-            "{epochs:6}   {:13}   {:10}   {check:10.4}   {:9.3}   {a:.3}   {elapsed:5.1?}",
+            "{epochs:6}   {:13}   {:10}   {check:10.4}   {:9.3}   {a:.3}",
             trained.report.stopped_early,
             trained.report.best_epoch,
             trained.probabilities.selection_right,

@@ -1,7 +1,8 @@
 //! ABL-LSQ — the paper solves the consequent least-squares system with SVD
 //! (§2.2.2). This ablation swaps the backend (SVD / QR / normal equations)
-//! in the full CQM training pipeline and reports fit quality, robustness and
-//! wall-clock time.
+//! in the full CQM training pipeline and reports fit quality and robustness
+//! on stdout, and wall-clock time on stderr (so stdout is the same bytes on
+//! every run).
 //!
 //! ```sh
 //! cargo run --release -p cqm-bench --bin ablation_lsq
@@ -25,8 +26,8 @@ fn main() {
         FisClassifier::train(&data, &FisClassifierConfig::default()).expect("classifier");
     let truth: Vec<ClassId> = data.labels().to_vec();
 
-    println!("backend            status   threshold   selection   train-time");
-    println!("----------------   ------   ---------   ---------   ----------");
+    println!("backend            status   threshold   selection");
+    println!("----------------   ------   ---------   ---------");
     for method in [
         LstsqMethod::Svd,
         LstsqMethod::Qr,
@@ -36,23 +37,18 @@ fn main() {
         config.genfis.lstsq = method;
         config.hybrid.lstsq = method;
         let start = Instant::now();
-        match train_cqm(&classifier, data.cues(), &truth, &config) {
+        let result = train_cqm(&classifier, data.cues(), &truth, &config);
+        eprintln!("{method}: trained in {:.2?}", start.elapsed());
+        match result {
             Ok(trained) => {
                 println!(
-                    "{:16}   ok       {:9.4}   {:9.4}   {:8.2?}",
+                    "{:16}   ok       {:9.4}   {:9.4}",
                     method.to_string(),
                     trained.threshold.value,
                     trained.probabilities.selection_right,
-                    start.elapsed()
                 );
             }
-            Err(e) => {
-                println!(
-                    "{:16}   FAILED after {:.2?}: {e}",
-                    method.to_string(),
-                    start.elapsed()
-                );
-            }
+            Err(e) => println!("{:16}   FAILED: {e}", method.to_string()),
         }
     }
     println!("\nexpected shape: SVD always succeeds (rank-deficient rule activations are");

@@ -138,11 +138,12 @@ mod tests {
         let data = vec![vec![5.0, 1.0], vec![5.0, 2.0]];
         let s = UnitScaler::fit(&data).unwrap();
         let t = s.transform_all(&data).unwrap();
-        assert_eq!(t[0][0], 0.0);
-        assert_eq!(t[1][0], 0.0);
-        assert_eq!(s.ranges(), vec![1.0, 1.0]);
+        assert_eq!(t[0][0].to_bits(), 0.0f64.to_bits());
+        assert_eq!(t[1][0].to_bits(), 0.0f64.to_bits());
+        let ranges: Vec<u64> = s.ranges().iter().map(|r| r.to_bits()).collect();
+        assert_eq!(ranges, [1.0f64.to_bits(); 2]);
         // Inverse still restores the constant.
-        assert_eq!(s.inverse(&t[0]).unwrap()[0], 5.0);
+        assert_eq!(s.inverse(&t[0]).unwrap()[0].to_bits(), 5.0f64.to_bits());
     }
 
     #[test]

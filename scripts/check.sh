@@ -37,15 +37,16 @@ fi
 echo "==> cargo fmt --check (crates held rustfmt-clean)"
 # Formatting is enforced crate by crate as each one is brought to zero
 # drift, so a later `cargo fmt` run cannot mix reformatting into a change.
-cargo fmt -p cqm-persist -p cqm-serve -p cqm-fuzzy -p cqm-math -p cqm-core -- --check
+cargo fmt -p cqm-persist -p cqm-serve -p cqm-fuzzy -p cqm-math -p cqm-core \
+    -p cqm-cluster -p cqm-anfis -- --check
 
 echo "==> cargo clippy -D warnings (crates held clippy-clean)"
 # The workspace [lints.clippy] table (float_cmp, unwrap_used) is enforced
 # crate by crate as each one is brought to zero findings; a crate on this
 # list must stay clean, with no #[allow] added to get there.
 cargo clippy -q -p cqm-fuzzy -p cqm-serve -p cqm-parallel -p cqm-persist \
-    -p cqm-resilience -p cqm-classify -p cqm-math -p cqm-core --all-targets \
-    --no-deps -- -D warnings
+    -p cqm-resilience -p cqm-classify -p cqm-math -p cqm-core -p cqm-cluster \
+    -p cqm-anfis --all-targets --no-deps -- -D warnings
 
 echo "==> cargo test"
 # The debug test profile also arms every debug_assert! domain guard in the

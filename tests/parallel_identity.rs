@@ -7,13 +7,14 @@
 //!   scheduling;
 //! * steady-state FIS evaluation through [`cqm::fuzzy::TskKernel`] performs
 //!   **zero heap allocations** once the caller-provided scratch has warmed
-//!   up.
+//!   up;
+//! * subtractive clustering holds O(n) heap, never an `n×n` distance matrix.
 //!
 //! The allocation counter needs a `#[global_allocator]` shim, which requires
 //! `unsafe` — allowed in this one test target only (the workspace denies it
-//! everywhere else, and library targets `forbid` it). It counts per thread,
-//! so a test measures only its own allocations, never those of the tests the
-//! default runner executes beside it.
+//! everywhere else, and library targets `forbid` it). It counts allocations
+//! and live bytes per thread, so a test measures only its own heap, never
+//! that of the tests the default runner executes beside it.
 
 #![allow(unsafe_code)]
 
@@ -21,20 +22,33 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use cqm::anfis::{train_hybrid_with, Dataset, GenfisParams, HybridConfig};
+use cqm::cluster::{SubtractiveClustering, SubtractiveParams};
 use cqm::fuzzy::{MembershipFunction, TskFis, TskRule, TskScratch};
 use cqm::parallel::WorkerPool;
 
-/// System allocator wrapped with a per-thread allocation counter.
+/// System allocator wrapped with per-thread allocation and byte counters.
 struct CountingAlloc;
 
 thread_local! {
-    // `const`-initialised and drop-free: reading or bumping it never
-    // allocates, so the allocator itself can touch it.
+    // `const`-initialised and drop-free: reading or bumping them never
+    // allocates, so the allocator itself can touch them.
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    // Bytes allocated minus bytes freed by this thread (signed: a thread may
+    // free what another allocated), and the highest value it has reached.
+    static LIVE_BYTES: Cell<isize> = const { Cell::new(0) };
+    static PEAK_BYTES: Cell<isize> = const { Cell::new(0) };
 }
 
 fn count_allocation() {
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn count_bytes(delta: isize) {
+    let _ = LIVE_BYTES.try_with(|live| {
+        let now = live.get() + delta;
+        live.set(now);
+        let _ = PEAK_BYTES.try_with(|peak| peak.set(peak.get().max(now)));
+    });
 }
 
 /// Allocations made so far by the calling thread.
@@ -42,18 +56,31 @@ fn allocations() -> usize {
     ALLOCATIONS.with(Cell::get)
 }
 
+/// Run `f` and return its result with the most heap the calling thread held
+/// at any point during `f`, above what it held when `f` started.
+fn peak_heap_during<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    let base = LIVE_BYTES.with(Cell::get);
+    PEAK_BYTES.with(|peak| peak.set(base));
+    let out = f();
+    let peak = PEAK_BYTES.with(Cell::get) - base;
+    (out, peak.unsigned_abs())
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_allocation();
+        count_bytes(layout.size() as isize);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count_bytes(-(layout.size() as isize));
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_allocation();
+        count_bytes(new_size as isize - layout.size() as isize);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -198,4 +225,30 @@ fn anfis_training_is_bit_identical_across_thread_counts() {
             assert_eq!(ya.to_bits(), yb.to_bits(), "threads={threads} sample {j}");
         }
     }
+}
+
+#[test]
+fn subtractive_clustering_heap_stays_linear_in_the_points() {
+    // 1500 points around three 3-D centers. An n×n d² matrix would be
+    // 1500² × 8 B ≈ 18 MB; each accepted center keeps one 12-KB d² row.
+    let hubs = [[0.0, 0.0, 0.0], [5.0, 1.0, -2.0], [-3.0, 4.0, 2.0]];
+    let data: Vec<Vec<f64>> = (0..1500)
+        .map(|i| {
+            let hub = hubs[i % 3];
+            let t = i as f64 * 0.618;
+            vec![
+                hub[0] + 0.4 * t.sin(),
+                hub[1] + 0.4 * (1.7 * t).cos(),
+                hub[2] + 0.4 * (2.3 * t).sin(),
+            ]
+        })
+        .collect();
+    let runner = SubtractiveClustering::new(SubtractiveParams::default());
+
+    let (result, peak) = peak_heap_during(|| runner.cluster(&data).expect("clustering"));
+    assert_eq!(result.centers.len(), 3, "centers: {:?}", result.centers);
+    assert!(
+        peak < 1 << 20,
+        "clustering 1500 points held {peak} B of heap at its peak (limit 1 MiB)"
+    );
 }
