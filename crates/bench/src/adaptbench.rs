@@ -163,10 +163,7 @@ impl AdaptBaseline {
             return Err("window_capacity must be >= 1".into());
         }
         if self.holdout_every < 2 {
-            return Err(format!(
-                "holdout_every {} must be >= 2",
-                self.holdout_every
-            ));
+            return Err(format!("holdout_every {} must be >= 2", self.holdout_every));
         }
         for (name, p) in [
             ("disk_plan.corrupt_p", self.disk_plan.corrupt_p),

@@ -15,10 +15,10 @@
 
 use cqm_anfis::dataset::Dataset;
 use cqm_anfis::genfis::{genfis, genfis_from_centers, GenfisParams};
+use cqm_anfis::grid::{genfis_grid, GridParams};
 use cqm_anfis::rmse;
 use cqm_bench::paper_testbed;
 use cqm_classify::dataset::ClassifiedDataset;
-use cqm_anfis::grid::{genfis_grid, GridParams};
 use cqm_cluster::fcm::fuzzy_c_means;
 use cqm_cluster::mountain::{MountainClustering, MountainParams};
 use cqm_core::classifier::Classifier;

@@ -205,7 +205,9 @@ fn main() -> ExitCode {
     );
     println!(
         "server: {} executed, {} dedup hits, {} duplicate executions, {} degraded",
-        health.rows_classified, health.dedup_hits, health.duplicate_executions,
+        health.rows_classified,
+        health.dedup_hits,
+        health.duplicate_executions,
         health.degraded_served
     );
     println!(

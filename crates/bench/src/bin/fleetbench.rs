@@ -78,7 +78,11 @@ fn reference_answers(model: &ServedModel) -> Vec<QualifiedClassification> {
     )
     .expect("reference system");
     (0..CUE_COUNT)
-        .map(|i| system.classify_with_quality(&probe_cue(i)).expect("reference"))
+        .map(|i| {
+            system
+                .classify_with_quality(&probe_cue(i))
+                .expect("reference")
+        })
         .collect()
 }
 
@@ -104,7 +108,13 @@ struct Tally {
 /// Sort one delivered answer: own tenant's generations first, then every
 /// other tenant's (a match there and not at home is a leak), else a
 /// mismatch.
-fn judge(tally: &mut Tally, refs: &[TenantRef], own: usize, cue: usize, got: &QualifiedClassification) {
+fn judge(
+    tally: &mut Tally,
+    refs: &[TenantRef],
+    own: usize,
+    cue: usize,
+    got: &QualifiedClassification,
+) {
     if refs[own].gens.iter().any(|gen| same_answer(got, &gen[cue])) {
         return;
     }
@@ -266,12 +276,15 @@ fn main() -> ExitCode {
         .collect();
     for r in refs.iter().take(swap_count) {
         let differs = (0..CUE_COUNT).any(|c| !same_answer(&r.gens[0][c], &r.gens[1][c]));
-        assert!(differs, "swap generations of {} must be bit-distinct", r.key);
+        assert!(
+            differs,
+            "swap generations of {} must be bit-distinct",
+            r.key
+        );
     }
 
     println!("[2/5] seeding the checkpoint store (one corrupt tenant) ...");
-    let dir: PathBuf =
-        std::env::temp_dir().join(format!("cqm_fleetbench_{}", std::process::id()));
+    let dir: PathBuf = std::env::temp_dir().join(format!("cqm_fleetbench_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).expect("store dir");
     {
@@ -422,9 +435,7 @@ fn main() -> ExitCode {
     println!(
         "\nissued {issued}, delivered {delivered}, typed failures {typed_failures}, dropped {dropped}"
     );
-    println!(
-        "isolation: {mismatched} mismatched, {cross_tenant_leaks} cross-tenant leak(s)"
-    );
+    println!("isolation: {mismatched} mismatched, {cross_tenant_leaks} cross-tenant leak(s)");
     println!(
         "fleet: {} swap(s) done live ({} reported, {} rollback(s)), {} warm load(s), {} eviction(s)",
         swaps_done, health.swaps, health.swap_rollbacks, health.warm_loads, health.evictions

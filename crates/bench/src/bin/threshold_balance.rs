@@ -69,7 +69,10 @@ fn main() {
                 trained.groups.right.mu(),
                 trained.groups.wrong.mu()
             ),
-            Err(e) => println!("      {r_frac}:{w_frac}           {:6}    failed: {e}", cues.len()),
+            Err(e) => println!(
+                "      {r_frac}:{w_frac}           {:6}    failed: {e}",
+                cues.len()
+            ),
         }
     }
     println!("\nexpected shape: threshold decreases toward ~0.5 as the mix balances");

@@ -68,16 +68,36 @@ pub fn run_summary(eval: &PaperEval) {
     let row = |name: &str, paper: &str, measured: String| {
         println!("{name:38} {paper:>10} {measured:>12}");
     };
-    row("optimal threshold s", "0.81", format!("{:.3}", threshold.value));
-    row("right-group mean", "~0.95", format!("{:.3}", groups.right.mu()));
-    row("wrong-group mean", "~0.3", format!("{:.3}", groups.wrong.mu()));
+    row(
+        "optimal threshold s",
+        "0.81",
+        format!("{:.3}", threshold.value),
+    );
+    row(
+        "right-group mean",
+        "~0.95",
+        format!("{:.3}", groups.right.mu()),
+    );
+    row(
+        "wrong-group mean",
+        "~0.3",
+        format!("{:.3}", groups.wrong.mu()),
+    );
     row(
         "P(right|q>s) = P(wrong|q<s)",
         "0.8112",
         format!("{:.3}", probs.selection_right),
     );
-    row("P(right|q<s)", "0.0846", format!("{:.3}", probs.false_negative));
-    row("P(wrong|q>s)", "0.0217", format!("{:.3}", probs.false_positive));
+    row(
+        "P(right|q<s)",
+        "0.0846",
+        format!("{:.3}", probs.false_negative),
+    );
+    row(
+        "P(wrong|q>s)",
+        "0.0217",
+        format!("{:.3}", probs.false_positive),
+    );
     row(
         "discard rate (24-pt set)",
         "33%",
@@ -186,8 +206,7 @@ pub fn run_improvement(testbed: &Testbed, eval: &PaperEval) {
     // --- Part 1: the paper's 24-point accounting. §3.2 derives the optimal
     // threshold from the statistical analysis of the test set itself (the
     // Fig. 6 densities), then filters that same set.
-    let groups =
-        QualityGroups::fit_labeled(&labeled_qualities(&eval.set)).expect("both outcomes");
+    let groups = QualityGroups::fit_labeled(&labeled_qualities(&eval.set)).expect("both outcomes");
     let threshold = optimal_threshold(&groups)
         .expect("informative measure")
         .value

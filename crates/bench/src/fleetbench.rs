@@ -236,7 +236,10 @@ impl FleetBaseline {
             ));
         }
         if self.tenants < 8 {
-            return Err(format!("fleet too small: {} tenant(s), need >= 8", self.tenants));
+            return Err(format!(
+                "fleet too small: {} tenant(s), need >= 8",
+                self.tenants
+            ));
         }
         if self.swaps < 3 {
             return Err(format!("only {} live swap(s), need >= 3", self.swaps));

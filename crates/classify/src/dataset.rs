@@ -56,9 +56,7 @@ impl ClassifiedDataset {
             )));
         }
         if cues.iter().any(|x| !x.is_finite()) {
-            return Err(ClassifyError::InvalidData(
-                "non-finite cue value".into(),
-            ));
+            return Err(ClassifyError::InvalidData("non-finite cue value".into()));
         }
         if label.0 >= self.num_classes {
             return Err(ClassifyError::InvalidData(format!(
