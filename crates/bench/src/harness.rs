@@ -508,10 +508,11 @@ mod tests {
     #[test]
     fn percentile_is_nearest_rank() {
         let samples = [5.0, 1.0, 4.0, 2.0, 3.0];
-        assert_eq!(percentile_micros(&samples, 0.5), 3.0);
-        assert_eq!(percentile_micros(&samples, 0.0), 1.0);
-        assert_eq!(percentile_micros(&samples, 1.0), 5.0);
-        assert_eq!(percentile_micros(&samples, 0.99), 5.0);
-        assert_eq!(percentile_micros(&[7.5], 0.5), 7.5);
+        let rank = |samples: &[f64], p: f64| percentile_micros(samples, p).to_bits();
+        assert_eq!(rank(&samples, 0.5), 3.0f64.to_bits());
+        assert_eq!(rank(&samples, 0.0), 1.0f64.to_bits());
+        assert_eq!(rank(&samples, 1.0), 5.0f64.to_bits());
+        assert_eq!(rank(&samples, 0.99), 5.0f64.to_bits());
+        assert_eq!(rank(&[7.5], 0.5), 7.5f64.to_bits());
     }
 }

@@ -1,16 +1,15 @@
 //! Performance baseline harness behind the `perfbase` binary.
 //!
-//! Times the five hot paths of the runtime — subtractive clustering, one
-//! ANFIS training run, single-sample FIS evaluation, batch FIS evaluation
-//! and the serial batch kernel — serial and (where pooling applies) on
-//! worker pools of 1/2/4/8 threads, and writes the results as
-//! `BENCH_PERFBASE.json`.
+//! Times the three hot paths of the runtime — subtractive clustering, one
+//! ANFIS training run and single-sample FIS evaluation — serial and (where
+//! pooling applies) on worker pools of 1/2/4/8 threads, and writes the
+//! results as `BENCH_PERFBASE.json`.
 //!
-//! # Baseline schema (`cqm-bench/perfbase/v3`)
+//! # Baseline schema (`cqm-bench/perfbase/v4`)
 //!
 //! ```json
 //! {
-//!   "schema": "cqm-bench/perfbase/v3",
+//!   "schema": "cqm-bench/perfbase/v4",
 //!   "smoke": false,
 //!   "available_parallelism": 8,
 //!   "sections": [
@@ -35,21 +34,15 @@
 //!   numbers were taken; timings from a 1-core container show ≈1.0×
 //!   "speedups" by construction and must be read alongside this field.
 //! * `sections[*].name` — one of `clustering`, `anfis_epoch`,
-//!   `eval_single`, `eval_batch`, `eval_batch_blocked` (all five required).
+//!   `eval_single` (all three required).
 //! * `sections[*].serial_millis` — wall-clock milliseconds of the plain
-//!   serial API (`cluster`, `train_hybrid`, `eval`, `eval_batch`).
+//!   serial API (`cluster`, `train_hybrid`, `eval`).
 //! * `sections[*].threaded` — wall-clock milliseconds of the pooled API at
-//!   each thread count; `clustering`, `anfis_epoch` and `eval_batch` carry
-//!   all of 1/2/4/8, while the single-thread sections carry one
-//!   `threads: 1` entry each: `eval_single` times the allocation-free
-//!   kernel path, and `eval_batch_blocked` times
-//!   `TskKernel::eval_batch_into` (bit-identical to row-wise) against a
-//!   hand-written row loop — a per-core throughput measurement, so its
+//!   each thread count; `clustering` and `anfis_epoch` carry all of
+//!   1/2/4/8, while `eval_single` carries one `threads: 1` entry: the
+//!   allocation-free kernel path, a per-core measurement, so its
 //!   `serial / t1` ratio is meaningful on any machine, 1-core CI
-//!   containers included. The section keeps the name of the rule-major
-//!   blocked sweep it timed until that sweep was deleted (the sweep
-//!   measured 1.00× the row loop in BENCH_PR9.json); the batch entry
-//!   point is now that row loop, so the ratio reads ≈ 1.0.
+//!   containers included.
 //!
 //! Every pooled path is bit-identical to its serial counterpart at any
 //! thread count (the property the runtime is built around), so timings on
@@ -63,23 +56,17 @@ use serde::{Deserialize, Serialize};
 use crate::harness::check_header;
 
 /// Schema identifier written to and expected in the baseline JSON.
-pub const SCHEMA: &str = "cqm-bench/perfbase/v3";
+pub const SCHEMA: &str = "cqm-bench/perfbase/v4";
 
 /// Thread counts every multi-threaded section must cover.
 pub const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// Section names that must be present in a valid baseline.
-pub const SECTION_NAMES: [&str; 5] = [
-    "clustering",
-    "anfis_epoch",
-    "eval_single",
-    "eval_batch",
-    "eval_batch_blocked",
-];
+pub const SECTION_NAMES: [&str; 3] = ["clustering", "anfis_epoch", "eval_single"];
 
 /// Sections that carry a single `threads: 1` timing instead of the full
-/// 1/2/4/8 ladder (single-sample or per-core throughput measurements).
-pub const SINGLE_THREAD_SECTIONS: [&str; 2] = ["eval_single", "eval_batch_blocked"];
+/// 1/2/4/8 ladder (per-core measurements).
+pub const SINGLE_THREAD_SECTIONS: [&str; 1] = ["eval_single"];
 
 /// Wall-clock timing of one pooled run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -288,8 +275,6 @@ mod tests {
                 full("clustering", clustering_t4),
                 full("anfis_epoch", 100.0),
                 single("eval_single", 1.0, 0.8),
-                full("eval_batch", 100.0),
-                single("eval_batch_blocked", 100.0, 90.0),
             ],
         }
     }
@@ -342,10 +327,15 @@ mod tests {
     }
 
     #[test]
-    fn validation_requires_the_blocked_section() {
+    fn validation_requires_every_section() {
+        for name in SECTION_NAMES {
+            let mut b = baseline(1, 100.0);
+            b.sections.retain(|s| s.name != name);
+            assert!(b.validate().unwrap_err().contains(name), "{name}");
+        }
         let mut b = baseline(1, 100.0);
-        b.sections.retain(|s| s.name != "eval_batch_blocked");
-        assert!(b.validate().unwrap_err().contains("eval_batch_blocked"));
+        b.sections[2].threaded.clear();
+        assert!(b.validate().unwrap_err().contains("eval_single"));
     }
 
     #[test]

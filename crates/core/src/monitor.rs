@@ -141,11 +141,12 @@ impl QualityMonitor {
         }
         let accepts = self.history.iter().filter(|(_, a)| *a).count();
         let accept_rate = accepts as f64 / self.history.len() as f64;
-        let qs: Vec<f64> = self.history.iter().filter_map(|(q, _)| *q).collect();
-        let mean_quality = if qs.is_empty() {
+        // Count, then sum in window order: no buffer per observation.
+        let valued = self.history.iter().filter(|(q, _)| q.is_some()).count();
+        let mean_quality = if valued == 0 {
             0.0
         } else {
-            qs.iter().sum::<f64>() / qs.len() as f64
+            self.history.iter().filter_map(|(q, _)| *q).sum::<f64>() / valued as f64
         };
         let drifted = (accept_rate - self.profile.accept_rate).abs() > self.tolerance
             || (mean_quality - self.profile.mean_quality).abs() > self.tolerance;

@@ -90,7 +90,7 @@ impl<C: Classifier> CqmSystem<C> {
     ///
     /// * [`CqmError::InvalidInput`] on malformed cues.
     /// * Errors from the black-box classifier itself.
-    // lint: allow(ASSERT_DENSITY) -- cue validation lives in QualityMeasure::raw, which rejects bad input via Result
+    // lint: allow(ASSERT_DENSITY) -- cue validation lives in check_cue_vector (via the classifier and QualityMeasure::measure), which rejects bad input via Result
     pub fn classify_with_quality(&self, cues: &[f64]) -> Result<QualifiedClassification> {
         let class = self.classifier.classify(cues)?;
         let quality = self.measure.measure(cues, class)?;

@@ -62,21 +62,6 @@ impl QualityMeasure {
         v
     }
 
-    /// Raw (non-normalized) FIS output `S~_Q(v_Q)`.
-    ///
-    /// # Errors
-    ///
-    /// * [`CqmError::InvalidInput`] on dimension mismatch or non-finite
-    ///   cues.
-    /// * [`CqmError::Fuzzy`] if no rule fires (input far outside the
-    ///   training support).
-    // lint: allow(ASSERT_DENSITY) -- cue validation lives in check_cue_vector, which rejects bad input via Result
-    pub fn raw(&self, cues: &[f64], class: ClassId) -> Result<f64> {
-        check_cue_vector(cues, self.cue_dim(), "quality measure")?;
-        let v = self.joint_input(cues, class);
-        Ok(self.fis.eval(&v)?)
-    }
-
     /// The Context Quality Measure `q = L(S~_Q(v_Q))`.
     ///
     /// Inputs on which the FIS cannot fire any rule yield ε rather than an
@@ -87,9 +72,11 @@ impl QualityMeasure {
     ///
     /// Returns [`CqmError::InvalidInput`] on malformed cues (those are
     /// caller bugs, not runtime conditions).
-    // lint: allow(ASSERT_DENSITY) -- cue validation lives in raw, which rejects bad input via Result
+    // lint: allow(ASSERT_DENSITY) -- cue validation lives in check_cue_vector, which rejects bad input via Result
     pub fn measure(&self, cues: &[f64], class: ClassId) -> Result<Quality> {
-        qualify(self.raw(cues, class))
+        check_cue_vector(cues, self.cue_dim(), "quality measure")?;
+        let v = self.joint_input(cues, class);
+        qualify(self.fis.eval(&v))
     }
 
     /// Build the allocation-free runtime evaluator for this measure (see
@@ -135,40 +122,25 @@ impl QualityKernel {
         self.cue_dim
     }
 
-    /// Allocation-free [`QualityMeasure::raw`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`QualityMeasure::raw`].
-    // lint: allow(ASSERT_DENSITY) -- cue validation lives in check_cue_vector, which rejects bad input via Result
-    pub fn raw_into(
-        &self,
-        cues: &[f64],
-        class: ClassId,
-        scratch: &mut QualityScratch,
-    ) -> Result<f64> {
-        check_cue_vector(cues, self.cue_dim, "quality measure")?;
-        scratch.joint.clear();
-        scratch.joint.reserve(cues.len() + 1);
-        scratch.joint.extend_from_slice(cues);
-        scratch.joint.push(class.as_f64());
-        Ok(self.kernel.eval_into(&scratch.joint, &mut scratch.fis)?)
-    }
-
     /// Allocation-free [`QualityMeasure::measure`] — bit-identical output,
     /// same ε mapping for uncovered inputs.
     ///
     /// # Errors
     ///
     /// Same conditions as [`QualityMeasure::measure`].
-    // lint: allow(ASSERT_DENSITY) -- cue validation lives in raw_into, which rejects bad input via Result
+    // lint: allow(ASSERT_DENSITY) -- cue validation lives in check_cue_vector, which rejects bad input via Result
     pub fn measure_into(
         &self,
         cues: &[f64],
         class: ClassId,
         scratch: &mut QualityScratch,
     ) -> Result<Quality> {
-        qualify(self.raw_into(cues, class, scratch))
+        check_cue_vector(cues, self.cue_dim, "quality measure")?;
+        scratch.joint.clear();
+        scratch.joint.reserve(cues.len() + 1);
+        scratch.joint.extend_from_slice(cues);
+        scratch.joint.push(class.as_f64());
+        qualify(self.kernel.eval_into(&scratch.joint, &mut scratch.fis))
     }
 }
 
@@ -176,11 +148,11 @@ impl QualityKernel {
 /// [`QualityMeasure::measure`] and [`QualityKernel::measure_into`]: a raw
 /// output is normalized, "no rule fired" becomes ε, any other error passes
 /// through.
-fn qualify(raw: Result<f64>) -> Result<Quality> {
+fn qualify(raw: cqm_fuzzy::Result<f64>) -> Result<Quality> {
     let q = match raw {
         Ok(raw) => normalize(raw),
-        Err(CqmError::Fuzzy(cqm_fuzzy::FuzzyError::NoRuleFired)) => Quality::Epsilon,
-        Err(e) => return Err(e),
+        Err(cqm_fuzzy::FuzzyError::NoRuleFired) => Quality::Epsilon,
+        Err(e) => return Err(CqmError::Fuzzy(e)),
     };
     debug_assert!(
         q.value().is_none_or(|v| (0.0..=1.0).contains(&v)),
@@ -265,13 +237,13 @@ mod tests {
         let qm = QualityMeasure::new(agreement_fis()).unwrap();
         assert!(qm.measure(&[0.1, 0.2], ClassId(0)).is_err());
         assert!(qm.measure(&[f64::NAN], ClassId(0)).is_err());
-        assert!(qm.raw(&[], ClassId(0)).is_err());
+        assert!(qm.measure(&[], ClassId(0)).is_err());
     }
 
     #[test]
-    fn raw_and_measure_consistent() {
+    fn measure_is_l_of_the_fis_output() {
         let qm = QualityMeasure::new(agreement_fis()).unwrap();
-        let raw = qm.raw(&[0.4], ClassId(0)).unwrap();
+        let raw = qm.fis().eval(&[0.4, 0.0]).unwrap();
         let q = qm.measure(&[0.4], ClassId(0)).unwrap();
         assert_eq!(q, crate::normalize::normalize(raw));
     }
@@ -304,9 +276,6 @@ mod tests {
                     }
                     (qa, qb) => assert_eq!(qa, qb, "x={x} c={c}"),
                 }
-                let ra = qm.raw(&[x], ClassId(c)).unwrap();
-                let rb = kernel.raw_into(&[x], ClassId(c), &mut scratch).unwrap();
-                assert_eq!(ra.to_bits(), rb.to_bits(), "raw x={x} c={c}");
             }
             x += 0.05;
         }

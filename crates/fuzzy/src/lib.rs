@@ -11,7 +11,7 @@
 //!   the quality system `S~_Q`.
 //! * [`kernel`] — a struct-of-arrays evaluator of the same system,
 //!   bit-identical to [`TskFis::eval`] and allocation-free in the steady
-//!   state, for single rows and batches alike (DESIGN.md §9).
+//!   state, with one row-wise entry point (DESIGN.md §9).
 //! * [`linguistic`] — verbalization of rules in the paper's linguistic form:
 //!   `IF F_1j(v_1) AND … AND F_(n+1)j(c) THEN f_j(v_Q)`.
 //!

@@ -254,16 +254,6 @@ impl TskFis {
             output,
         })
     }
-
-    /// Evaluate a batch of inputs, propagating the first error.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TskFis::eval`] for any row.
-    // lint: allow(ASSERT_DENSITY) -- delegates row-wise to eval, which validates via Result
-    pub fn eval_batch(&self, inputs: &[Vec<f64>]) -> Result<Vec<f64>> {
-        inputs.iter().map(|v| self.eval(v)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -398,14 +388,6 @@ mod tests {
         let fis = two_rule_1d();
         // 1e5 sigma away: both Gaussians underflow to exactly 0.
         assert!(matches!(fis.eval(&[3.0e4]), Err(FuzzyError::NoRuleFired)));
-    }
-
-    #[test]
-    fn eval_batch_propagates() {
-        let fis = two_rule_1d();
-        let ys = fis.eval_batch(&[vec![0.0], vec![1.0]]).unwrap();
-        assert_eq!(ys.len(), 2);
-        assert!(fis.eval_batch(&[vec![0.0], vec![3.0e4]]).is_err());
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub(crate) struct Job {
     pub(crate) engine: Arc<Engine>,
 }
 
-/// Reusable evaluation state: FIS scratch, quality scratch and the sweep
+/// Reusable evaluation state: FIS scratch, quality scratch and the batch
 /// buffers. The server keeps one per session.
 #[derive(Debug, Default)]
 pub struct EngineScratch {
@@ -126,8 +126,10 @@ impl Engine {
         self.finish(cues, class, &mut scratch.quality)
     }
 
-    /// Answer an atomic batch in one kernel sweep; the first failing row
-    /// rejects the whole batch (matching `CqmSystem::classify_batch`).
+    /// Answer an atomic batch: [`ClassifierKernel::classify_batch_into`]
+    /// classifies the rows, then each row gets its quality and verdict. The
+    /// first failing row, in row order, rejects the whole batch with the
+    /// error `CqmSystem::classify_batch` reports for it.
     ///
     /// # Errors
     ///
@@ -278,6 +280,30 @@ mod tests {
             let single = engine.classify_one(row, &mut scratch).expect("single");
             assert_eq!(bits(b), bits(&single));
         }
+    }
+
+    #[test]
+    fn batch_error_is_the_first_failing_row_as_in_process() {
+        // An uncovered row before a non-finite one: the in-process system
+        // fails on the uncovered row first, and the engine must report the
+        // same error, detail text included.
+        let model = tiny_model();
+        let engine = Engine::new(&model).expect("engine");
+        let system = reference(&model);
+        let rows = vec![vec![0.2], vec![3.0e4], vec![f64::NAN]];
+        let mut scratch = EngineScratch::new();
+        let mut out = Vec::new();
+        let served = engine
+            .classify_rows(&rows, &mut scratch, &mut out)
+            .expect_err("uncovered row");
+        let local = system.classify_batch(&rows).expect_err("uncovered row");
+        assert_eq!(served, local);
+        assert!(matches!(
+            served,
+            CqmError::Fuzzy(cqm_fuzzy::FuzzyError::NoRuleFired)
+        ));
+        assert_eq!(to_wire(&served), to_wire(&local));
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -24,9 +24,9 @@
 //! * [`model`] — the served artifact ([`ServedModel`]) and where it comes
 //!   from ([`ModelSource`]): fresh, or warm-started from a checkpoint.
 //! * [`batch`] — the evaluation engine: allocation-free
-//!   `ClassifierKernel`/`QualityKernel` paths, micro-batching queued
-//!   requests into single kernel sweeps, bit-identical to the in-process
-//!   `CqmSystem` answers.
+//!   `ClassifierKernel`/`QualityKernel` paths that answer each popped
+//!   micro-batch job by job, bit-identical to the in-process `CqmSystem`
+//!   answers.
 //! * [`dedup`] — the bounded per-session exactly-once window: a retried
 //!   `(session, request)` id replays the cached answer instead of
 //!   executing twice.

@@ -71,7 +71,7 @@ pub struct ServerConfig {
     /// What happens to requests arriving at a full queue.
     pub admission: AdmissionPolicy,
     /// Most jobs a permit holder pops from the queue head per permit and
-    /// folds into one kernel sweep (clamped to at least 1).
+    /// answers one after another (clamped to at least 1).
     pub micro_batch: usize,
     /// Where to write the shutdown checkpoint; `None` disables it.
     pub checkpoint: Option<PathBuf>,

@@ -82,8 +82,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    // The same windows again, as one atomic batch — the server folds them
-    // into single kernel sweeps, which must be invisible in the answers.
+    // The same windows again, as one atomic batch — the server answers it
+    // through its batch path, which must be invisible in the answers.
     let rows: Vec<Vec<f64>> = windows.iter().map(|w| w.cues.clone()).collect();
     let batched = client.classify_batch(&rows)?;
     let mut batch_mismatches = 0usize;

@@ -38,7 +38,8 @@ echo "==> cargo fmt --check (crates held rustfmt-clean)"
 # Formatting is enforced crate by crate as each one is brought to zero
 # drift, so a later `cargo fmt` run cannot mix reformatting into a change.
 cargo fmt -p cqm-persist -p cqm-serve -p cqm-fuzzy -p cqm-math -p cqm-core \
-    -p cqm-cluster -p cqm-anfis -- --check
+    -p cqm-cluster -p cqm-anfis -p cqm-classify -p cqm-parallel -p cqm-bench \
+    -- --check
 
 echo "==> cargo clippy -D warnings (crates held clippy-clean)"
 # The workspace [lints.clippy] table (float_cmp, unwrap_used) is enforced
@@ -46,7 +47,7 @@ echo "==> cargo clippy -D warnings (crates held clippy-clean)"
 # list must stay clean, with no #[allow] added to get there.
 cargo clippy -q -p cqm-fuzzy -p cqm-serve -p cqm-parallel -p cqm-persist \
     -p cqm-resilience -p cqm-classify -p cqm-math -p cqm-core -p cqm-cluster \
-    -p cqm-anfis --all-targets --no-deps -- -D warnings
+    -p cqm-anfis -p cqm-bench --all-targets --no-deps -- -D warnings
 
 echo "==> cargo test"
 # The debug test profile also arms every debug_assert! domain guard in the
@@ -81,7 +82,7 @@ grep -q "^SUMMARY " /tmp/cqm_recover.log || {
 
 echo "==> perf baseline smoke (perfbase schema + thread-scaling gate)"
 # perfbase --smoke times the hot paths on small workloads, writes the baseline
-# JSON, re-reads it, validates the cqm-bench/perfbase/v3 schema and applies its
+# JSON, re-reads it, validates the cqm-bench/perfbase/v4 schema and applies its
 # one gate (see crates/bench/src/perf.rs): clustering on 4 threads must not be
 # slower than serial, within a core-aware tolerance. On 1 core perfbase skips
 # the gate itself, because time-sliced threads measure the scheduler.
@@ -205,6 +206,9 @@ for bench in perfbase chaosbench fleetbench adaptbench; do
     expect_exit 2 "$bench" --out --smoke
 done
 expect_exit 2 perfbase --smoke --section
+# Sections retired with schema v4 are unknown names, not silent no-ops.
+expect_exit 2 perfbase --smoke --section eval_batch
+expect_exit 2 perfbase --smoke --section eval_batch_blocked
 for count in --clients --requests; do
     expect_exit 2 chaosbench --smoke "$count" abc
     expect_exit 2 chaosbench --smoke "$count" 0

@@ -7,7 +7,7 @@
 //!   scheduling;
 //! * steady-state FIS evaluation through [`cqm::fuzzy::TskKernel`] performs
 //!   **zero heap allocations** once the caller-provided scratch has warmed
-//!   up;
+//!   up, and so does a full-window `QualityMonitor::observe`;
 //! * subtractive clustering holds O(n) heap, never an `n×n` distance matrix.
 //!
 //! The allocation counter needs a `#[global_allocator]` shim, which requires
@@ -22,7 +22,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use cqm::anfis::{train_hybrid_with, Dataset, GenfisParams, HybridConfig};
+use cqm::classify::FisClassifier;
 use cqm::cluster::{SubtractiveClustering, SubtractiveParams};
+use cqm::core::monitor::{MonitorStatus, OperatingProfile, QualityMonitor};
+use cqm::core::{ClassId, Decision, Quality};
 use cqm::fuzzy::{MembershipFunction, TskFis, TskRule, TskScratch};
 use cqm::parallel::WorkerPool;
 
@@ -154,30 +157,124 @@ fn steady_state_kernel_eval_allocates_nothing() {
 
 #[test]
 fn presized_scratch_first_batch_allocates_nothing() {
-    let fis = gaussian_fis();
-    let kernel = fis.kernel();
+    let classifier = FisClassifier::from_fis(gaussian_fis(), 2).expect("classifier");
+    let kernel = classifier.kernel();
     let inputs: Vec<Vec<f64>> = (0..256)
         .map(|i| vec![(i as f64) / 255.0, 1.0 - (i as f64) / 255.0])
         .collect();
 
-    // No warm-up: TskKernel::scratch pre-sizes every buffer from the rule
-    // count and input dimension, and eval_batch_into reserve_exacts `out`,
-    // so even the *first* blocked batch sweep must stay off the heap.
+    // No warm-up: ClassifierKernel::scratch pre-sizes the firing buffer
+    // from the rule count, and classify_batch_into only reserve_exacts its
+    // output buffers, so with buffers that already hold a batch this size
+    // even the *first* batch must stay off the heap.
     let mut scratch = kernel.scratch();
-    let mut out: Vec<f64> = Vec::with_capacity(inputs.len());
+    let mut raw: Vec<f64> = Vec::with_capacity(inputs.len());
+    let mut classes: Vec<ClassId> = Vec::with_capacity(inputs.len());
 
     let before = allocations();
     kernel
-        .eval_batch_into(&inputs, &mut scratch, &mut out)
-        .expect("batch eval");
+        .classify_batch_into(&inputs, &mut scratch, &mut raw, &mut classes)
+        .expect("batch classify");
     let after = allocations();
-    assert_eq!(out.len(), inputs.len());
-    assert!(out.iter().all(|y| y.is_finite()));
+    assert_eq!(classes.len(), inputs.len());
+    assert!(raw.iter().all(|y| y.is_finite()));
     assert_eq!(
         after - before,
         0,
-        "first blocked batch through a pre-sized scratch must not touch the heap"
+        "first batch through a pre-sized scratch must not touch the heap"
     );
+}
+
+/// A mixed value/ε observation stream with non-dyadic qualities.
+fn monitor_stream(i: usize) -> (Quality, Decision) {
+    match i % 7 {
+        3 => (Quality::Epsilon, Decision::Discard),
+        k => {
+            let q = 0.1 + 0.13 * ((i * 31 + k) % 7) as f64;
+            let decision = if q > 0.5 {
+                Decision::Accept
+            } else {
+                Decision::Discard
+            };
+            (Quality::Value(q), decision)
+        }
+    }
+}
+
+#[test]
+fn full_window_monitor_observation_allocates_nothing() {
+    let window = 16;
+    let profile = OperatingProfile::new(0.9, 0.9).expect("profile");
+    let mut monitor = QualityMonitor::new(profile, window, 0.1).expect("monitor");
+    // Warm-up: fill the window and roll it over once, so the ring buffer
+    // has reached its final capacity.
+    for i in 0..2 * window {
+        let (q, d) = monitor_stream(i);
+        monitor.observe(q, d);
+    }
+
+    let before = allocations();
+    let mut drifted = 0usize;
+    for i in 2 * window..2 * window + 500 {
+        let (q, d) = monitor_stream(i);
+        if let MonitorStatus::Drifted { .. } = monitor.observe(q, d) {
+            drifted += 1;
+        }
+    }
+    let after = allocations();
+    assert!(drifted > 0, "the stream sits far from the profile");
+    assert_eq!(
+        after - before,
+        0,
+        "a full-window QualityMonitor::observe must not touch the heap"
+    );
+}
+
+#[test]
+fn monitor_drift_payload_bits_match_the_collect_then_sum_formula() {
+    let window = 12;
+    let profile = OperatingProfile::new(0.95, 0.95).expect("profile");
+    let mut monitor = QualityMonitor::new(profile, window, 0.05).expect("monitor");
+    let mut seen: Vec<(Option<f64>, bool)> = Vec::new();
+    let mut checked = 0usize;
+    for i in 0..200 {
+        let (q, d) = monitor_stream(i);
+        seen.push((q.value(), d.is_accept()));
+        let status = monitor.observe(q, d);
+        if seen.len() < window {
+            continue;
+        }
+        // The formula the monitor used to evaluate: collect the non-ε
+        // qualities of the window, then sum them.
+        let last = &seen[seen.len() - window..];
+        let accepts = last.iter().filter(|(_, a)| *a).count();
+        let want_rate = accepts as f64 / last.len() as f64;
+        let qs: Vec<f64> = last.iter().filter_map(|(q, _)| *q).collect();
+        let want_mean = if qs.is_empty() {
+            0.0
+        } else {
+            qs.iter().sum::<f64>() / qs.len() as f64
+        };
+        let MonitorStatus::Drifted {
+            accept_rate,
+            mean_quality,
+        } = status
+        else {
+            panic!("observation {i}: the stream sits far from the profile, got {status:?}");
+        };
+        assert_eq!(
+            accept_rate.to_bits(),
+            want_rate.to_bits(),
+            "observation {i}"
+        );
+        assert_eq!(
+            mean_quality.to_bits(),
+            want_mean.to_bits(),
+            "observation {i}"
+        );
+        checked += 1;
+    }
+    assert_eq!(checked, 200 - window + 1);
 }
 
 #[test]
