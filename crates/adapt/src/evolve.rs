@@ -294,8 +294,9 @@ impl RuleEvolution {
                         .map_err(cqm_core::CqmError::Fuzzy)?,
                 );
             }
-            rules
-                .push(TskRule::new(antecedents, vec![0.0; n + 1]).map_err(cqm_core::CqmError::Fuzzy)?);
+            rules.push(
+                TskRule::new(antecedents, vec![0.0; n + 1]).map_err(cqm_core::CqmError::Fuzzy)?,
+            );
         }
         TskFis::new(rules)
             .map_err(cqm_core::CqmError::Fuzzy)
@@ -339,9 +340,7 @@ mod tests {
     #[test]
     fn empty_window_rejected() {
         let ev = RuleEvolution::new(EvolveConfig::default()).unwrap();
-        assert!(ev
-            .evolve(&[], &[], &WorkerPool::serial())
-            .is_err());
+        assert!(ev.evolve(&[], &[], &WorkerPool::serial()).is_err());
     }
 
     #[test]

@@ -430,7 +430,8 @@ impl AdaptationSupervisor {
             .evolution
             .evolve(&current_centers, &train_rows, &self.pool)?;
         let mut fis = if structure.changed() {
-            self.evolution.structure_for(&structure.centers, &train_rows)?
+            self.evolution
+                .structure_for(&structure.centers, &train_rows)?
         } else {
             measure.fis().clone()
         };
@@ -438,7 +439,8 @@ impl AdaptationSupervisor {
         // Streaming RLS over the training split: warm-started from the
         // live coefficients when the structure is unchanged (covariance
         // reset re-opens the gain), from the structure's zeros otherwise.
-        let mut rls = StreamingConsequents::new(&fis, self.config.rls_gamma, self.config.rls_lambda)?;
+        let mut rls =
+            StreamingConsequents::new(&fis, self.config.rls_gamma, self.config.rls_lambda)?;
         for epoch in 0..self.config.rls_epochs {
             if epoch > 0 {
                 rls.reset_covariance(self.config.rls_gamma)?;
@@ -469,8 +471,9 @@ impl AdaptationSupervisor {
                 }
             }
         }
-        let groups = QualityGroups::fit_with_floor(&right, &wrong, cqm_stats::mle::DEFAULT_SIGMA_FLOOR)
-            .map_err(|e| AdaptError::CandidateRejected(format!("quality groups: {e}")))?;
+        let groups =
+            QualityGroups::fit_with_floor(&right, &wrong, cqm_stats::mle::DEFAULT_SIGMA_FLOOR)
+                .map_err(|e| AdaptError::CandidateRejected(format!("quality groups: {e}")))?;
         let threshold = optimal_threshold(&groups)
             .map_err(|e| AdaptError::CandidateRejected(format!("threshold: {e}")))?
             .value
@@ -613,8 +616,7 @@ mod tests {
     }
 
     fn scratch_dir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("cqm_adapt_sup_{tag}_{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("cqm_adapt_sup_{tag}_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }
@@ -627,9 +629,16 @@ mod tests {
     /// [0.35, 0.65): the classifier says one thing, truth says another.
     fn feed(sup: &mut AdaptationSupervisor, n: usize, phase: u64) {
         for i in 0..n {
-            let r = ((i as u64).wrapping_mul(2654435761).wrapping_add(phase) % 1000) as f64 / 1000.0;
+            let r =
+                ((i as u64).wrapping_mul(2654435761).wrapping_add(phase) % 1000) as f64 / 1000.0;
             // Mostly easy samples near the poles, some ambiguous ones.
-            let cue = if i % 4 == 0 { 0.3 + r * 0.4 } else if i % 2 == 0 { r * 0.25 } else { 0.75 + r * 0.25 };
+            let cue = if i % 4 == 0 {
+                0.3 + r * 0.4
+            } else if i % 2 == 0 {
+                r * 0.25
+            } else {
+                0.75 + r * 0.25
+            };
             let truth = ClassId(usize::from(cue > 0.45));
             sup.observe(&[cue], truth).unwrap();
         }
@@ -704,7 +713,11 @@ mod tests {
             sup.observe(&[cue], truth).unwrap();
             // Interleave easy, *right* samples so the window keeps both
             // outcomes.
-            let easy = if i % 2 == 0 { 0.05 + r * 0.1 } else { 0.85 + r * 0.1 };
+            let easy = if i % 2 == 0 {
+                0.05 + r * 0.1
+            } else {
+                0.85 + r * 0.1
+            };
             sup.observe(&[easy], ClassId(usize::from(easy > 0.45)))
                 .unwrap();
             i += 1;
