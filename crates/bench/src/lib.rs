@@ -16,13 +16,13 @@
 //! | `ablation_cluster` | subtractive vs mountain structure identification |
 //! | `ablation_hybrid` | hybrid learning vs pure LSE initialisation |
 //!
-//! The gate binaries write a baseline JSON, re-read it, validate its schema
-//! and apply a gate, all through one [`harness`] (command line, banner,
-//! write → re-read → validate → gate):
+//! The baseline binaries write a baseline JSON, re-read it, validate its
+//! schema and apply their gate, all through one [`harness`] (command line,
+//! banner, write → re-read → validate → gate):
 //!
 //! | binary | schema module | gate |
 //! |---|---|---|
-//! | `perfbase` | [`perf`] | clustering thread scaling (`--smoke` only) |
+//! | `perfbase` | [`perf`] | none: the timings are a record |
 //! | `chaosbench` | [`chaosbench`] | exactly-once under network chaos |
 //! | `fleetbench` | [`fleetbench`] | tenant isolation and zero-drop hot swap |
 //! | `adaptbench` | [`adaptbench`] | drift recovery through a validated live swap |

@@ -1,27 +1,27 @@
 //! Performance baseline harness behind the `perfbase` binary.
 //!
 //! Times the three hot paths of the runtime — subtractive clustering, one
-//! ANFIS training run and single-sample FIS evaluation — serial and (where
-//! pooling applies) on worker pools of 1/2/4/8 threads, and writes the
-//! results as `BENCH_PERFBASE.json`.
+//! ANFIS training run and single-sample FIS evaluation — and writes the
+//! results as `BENCH_PERFBASE.json`. ANFIS training is also timed on worker
+//! pools of 1/2/4/8 threads.
 //!
-//! # Baseline schema (`cqm-bench/perfbase/v4`)
+//! # Baseline schema (`cqm-bench/perfbase/v5`)
 //!
 //! ```json
 //! {
-//!   "schema": "cqm-bench/perfbase/v4",
+//!   "schema": "cqm-bench/perfbase/v5",
 //!   "smoke": false,
 //!   "available_parallelism": 8,
 //!   "sections": [
 //!     {
-//!       "name": "clustering",
-//!       "workload": "subtractive clustering, n=2000 points, d=3",
-//!       "serial_millis": 123.4,
+//!       "name": "anfis_epoch",
+//!       "workload": "hybrid training, n=600 samples, dim=2, 3 epochs",
+//!       "serial_millis": 12.4,
 //!       "threaded": [
-//!         { "threads": 1, "millis": 124.0 },
-//!         { "threads": 2, "millis": 63.1 },
-//!         { "threads": 4, "millis": 33.0 },
-//!         { "threads": 8, "millis": 30.9 }
+//!         { "threads": 1, "millis": 12.5 },
+//!         { "threads": 2, "millis": 7.1 },
+//!         { "threads": 4, "millis": 4.3 },
+//!         { "threads": 8, "millis": 4.0 }
 //!       ]
 //!     }
 //!   ]
@@ -37,16 +37,23 @@
 //!   `eval_single` (all three required).
 //! * `sections[*].serial_millis` — wall-clock milliseconds of the plain
 //!   serial API (`cluster`, `train_hybrid`, `eval`).
-//! * `sections[*].threaded` — wall-clock milliseconds of the pooled API at
-//!   each thread count; `clustering` and `anfis_epoch` carry all of
-//!   1/2/4/8, while `eval_single` carries one `threads: 1` entry: the
-//!   allocation-free kernel path, a per-core measurement, so its
-//!   `serial / t1` ratio is meaningful on any machine, 1-core CI
-//!   containers included.
+//! * `sections[*].threaded` — the timings [`required_threads`] names:
+//!   none for `clustering`, which has no pooled path; the pooled API at
+//!   each of 1/2/4/8 threads for `anfis_epoch`; one `threads: 1` entry for
+//!   `eval_single`, the allocation-free kernel path, a per-core
+//!   measurement, so its `serial / t1` ratio is meaningful on any machine,
+//!   1-core CI containers included.
 //!
-//! Every pooled path is bit-identical to its serial counterpart at any
-//! thread count (the property the runtime is built around), so timings on
-//! multi-core machines measure the same computation, not a numerically
+//! The document is a record, not a gate: [`PerfBaseline::validate`] checks
+//! its shape and nothing compares the timings. Schema v4 also timed
+//! clustering on pools and failed a run whose 4-thread time exceeded the
+//! serial one by a core-aware margin; two runs of the same commit on one
+//! shared 2-core host read that ratio as 0.62 and 1.13, so the gate could
+//! not tell a regression from the host.
+//!
+//! The pooled training path is bit-identical to its serial counterpart at
+//! any thread count (the property the runtime is built around), so timings
+//! on multi-core machines measure the same computation, not a numerically
 //! different one.
 
 use std::time::Instant;
@@ -56,17 +63,24 @@ use serde::{Deserialize, Serialize};
 use crate::harness::check_header;
 
 /// Schema identifier written to and expected in the baseline JSON.
-pub const SCHEMA: &str = "cqm-bench/perfbase/v4";
+pub const SCHEMA: &str = "cqm-bench/perfbase/v5";
 
-/// Thread counts every multi-threaded section must cover.
+/// Thread counts the pooled `anfis_epoch` section covers.
 pub const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// Section names that must be present in a valid baseline.
 pub const SECTION_NAMES: [&str; 3] = ["clustering", "anfis_epoch", "eval_single"];
 
-/// Sections that carry a single `threads: 1` timing instead of the full
-/// 1/2/4/8 ladder (per-core measurements).
-pub const SINGLE_THREAD_SECTIONS: [&str; 1] = ["eval_single"];
+/// The `threaded` timings section `name` must carry: none for the serial
+/// `clustering`, the full ladder for `anfis_epoch`, and one `threads: 1`
+/// entry (the allocation-free kernel) for `eval_single`.
+pub fn required_threads(name: &str) -> &'static [usize] {
+    match name {
+        "anfis_epoch" => &THREAD_COUNTS,
+        "eval_single" => &[1],
+        _ => &[],
+    }
+}
 
 /// Wall-clock timing of one pooled run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -153,12 +167,7 @@ impl PerfBaseline {
                     ));
                 }
             }
-            let required: &[usize] = if SINGLE_THREAD_SECTIONS.contains(&name) {
-                &[1]
-            } else {
-                &THREAD_COUNTS
-            };
-            for &threads in required {
+            for &threads in required_threads(name) {
                 if section.millis_at(threads).is_none() {
                     return Err(format!(
                         "section {name:?}: missing timing for {threads} threads"
@@ -168,63 +177,6 @@ impl PerfBaseline {
         }
         Ok(())
     }
-
-    /// The CI performance gate: thread scaling. The pooled clustering path
-    /// at 4 threads must not be slower than the serial path. The tolerance
-    /// is core-aware — with at least 4 cores the pool must genuinely win
-    /// (ratio ≤ 1.0 with a small noise margin); on 2–3 cores only bounded
-    /// dispatch overhead is accepted. On a **single core** the gate is
-    /// skipped entirely and [`GateOutcome::ThreadGateSkipped`] is returned
-    /// so the caller can warn loudly: a 4-thread pool time-slicing one
-    /// core measures the scheduler, not the runtime, and a baseline
-    /// regenerated there must not silently "pass" thread scaling.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable description of the first violation.
-    pub fn gate(&self) -> Result<GateOutcome, String> {
-        let section = self
-            .section("clustering")
-            .ok_or_else(|| "missing clustering section".to_string())?;
-        let t4 = section
-            .millis_at(4)
-            .ok_or_else(|| "clustering: no 4-thread timing".to_string())?;
-        if self.available_parallelism == 1 {
-            return Ok(GateOutcome::ThreadGateSkipped {
-                cores: self.available_parallelism,
-            });
-        }
-        let ratio = t4 / section.serial_millis;
-        let limit = if self.available_parallelism >= 4 {
-            1.05
-        } else {
-            // On 2-3 cores the 4 threads time-slice one another; allow
-            // scheduling overhead but still catch pathological slowdowns.
-            1.5
-        };
-        if ratio > limit {
-            return Err(format!(
-                "clustering at 4 threads is {ratio:.2}x the serial time \
-                 (limit {limit:.2} on {} cores): serial {:.2} ms vs pooled {:.2} ms",
-                self.available_parallelism, section.serial_millis, t4
-            ));
-        }
-        Ok(GateOutcome::Passed)
-    }
-}
-
-/// What [`PerfBaseline::gate`] concluded when no limit was violated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GateOutcome {
-    /// The thread-scaling gate was applied and held.
-    Passed,
-    /// The thread-scaling gate was skipped because the baseline was taken
-    /// on a single core — the caller must surface this loudly, because
-    /// 4-thread timings from one core are meaningless.
-    ThreadGateSkipped {
-        /// Cores visible when the baseline was taken (always 1 today).
-        cores: usize,
-    },
 }
 
 /// Best-of-`reps` wall-clock milliseconds of `f`.
@@ -254,26 +206,30 @@ mod tests {
         }
     }
 
-    fn baseline(cores: usize, clustering_t4: f64) -> PerfBaseline {
-        let full = |name: &str, t4: f64| Section {
-            name: name.into(),
-            workload: "test".into(),
-            serial_millis: 100.0,
-            threaded: THREAD_COUNTS
-                .iter()
-                .map(|&threads| ThreadTiming {
-                    threads,
-                    millis: if threads == 4 { t4 } else { 100.0 },
-                })
-                .collect(),
-        };
+    fn baseline(cores: usize) -> PerfBaseline {
         PerfBaseline {
             schema: SCHEMA.into(),
             smoke: true,
             available_parallelism: cores,
             sections: vec![
-                full("clustering", clustering_t4),
-                full("anfis_epoch", 100.0),
+                Section {
+                    name: "clustering".into(),
+                    workload: "test".into(),
+                    serial_millis: 100.0,
+                    threaded: Vec::new(),
+                },
+                Section {
+                    name: "anfis_epoch".into(),
+                    workload: "test".into(),
+                    serial_millis: 100.0,
+                    threaded: THREAD_COUNTS
+                        .iter()
+                        .map(|&threads| ThreadTiming {
+                            threads,
+                            millis: 100.0,
+                        })
+                        .collect(),
+                },
                 single("eval_single", 1.0, 0.8),
             ],
         }
@@ -281,7 +237,7 @@ mod tests {
 
     #[test]
     fn valid_baseline_passes() {
-        let b = baseline(1, 110.0);
+        let b = baseline(1);
         b.validate().unwrap();
         assert!(b.section("clustering").is_some());
         assert!((b.section("eval_single").unwrap().speedup_at(1).unwrap() - 1.25).abs() < 1e-12);
@@ -289,58 +245,51 @@ mod tests {
 
     #[test]
     fn validation_catches_schema_drift() {
-        let mut b = baseline(1, 100.0);
-        b.schema = "other/v0".into();
+        let mut b = baseline(1);
+        b.schema = "cqm-bench/perfbase/v4".into();
         assert!(b.validate().is_err());
 
-        let mut b = baseline(1, 100.0);
+        let mut b = baseline(1);
         b.sections.retain(|s| s.name != "anfis_epoch");
         assert!(b.validate().unwrap_err().contains("anfis_epoch"));
 
-        let mut b = baseline(1, 100.0);
-        b.sections[0].threaded.retain(|t| t.threads != 8);
+        let mut b = baseline(1);
+        b.sections[1].threaded.retain(|t| t.threads != 8);
         assert!(b.validate().unwrap_err().contains("8 threads"));
 
-        let mut b = baseline(1, 100.0);
+        let mut b = baseline(1);
         b.sections[0].serial_millis = 0.0;
         assert!(b.validate().is_err());
     }
 
     #[test]
-    fn gate_is_core_aware() {
-        // 1 core: the thread-scaling half is skipped (and reported as such)
-        // no matter how bad the time-sliced 4-thread number looks.
-        assert_eq!(
-            baseline(1, 145.0).gate().unwrap(),
-            GateOutcome::ThreadGateSkipped { cores: 1 }
-        );
-        assert_eq!(
-            baseline(1, 500.0).gate().unwrap(),
-            GateOutcome::ThreadGateSkipped { cores: 1 }
-        );
-        // 2-3 cores: bounded dispatch overhead accepted, not more.
-        assert_eq!(baseline(2, 145.0).gate().unwrap(), GateOutcome::Passed);
-        assert!(baseline(2, 160.0).gate().is_err());
-        // >= 4 cores: the pool must not be slower than serial.
-        assert_eq!(baseline(8, 100.0).gate().unwrap(), GateOutcome::Passed);
-        assert!(baseline(8, 120.0).gate().is_err());
-    }
-
-    #[test]
     fn validation_requires_every_section() {
         for name in SECTION_NAMES {
-            let mut b = baseline(1, 100.0);
+            let mut b = baseline(1);
             b.sections.retain(|s| s.name != name);
             assert!(b.validate().unwrap_err().contains(name), "{name}");
         }
-        let mut b = baseline(1, 100.0);
+        let mut b = baseline(1);
         b.sections[2].threaded.clear();
         assert!(b.validate().unwrap_err().contains("eval_single"));
     }
 
     #[test]
+    fn each_section_carries_its_own_thread_counts() {
+        assert!(required_threads("clustering").is_empty());
+        assert_eq!(required_threads("anfis_epoch"), &THREAD_COUNTS);
+        assert_eq!(required_threads("eval_single"), &[1]);
+        // Timings at 1 core or 8, slow or fast, are recorded, never judged.
+        for cores in [1usize, 2, 8] {
+            let mut b = baseline(cores);
+            b.sections[1].threaded[2].millis = 500.0;
+            b.validate().unwrap();
+        }
+    }
+
+    #[test]
     fn json_round_trip() {
-        let b = baseline(2, 100.0);
+        let b = baseline(2);
         let json = serde_json::to_string_pretty(&b).expect("serialize");
         let back: PerfBaseline = serde_json::from_str(&json).expect("parse");
         assert_eq!(back, b);

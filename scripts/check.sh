@@ -80,26 +80,15 @@ grep -q "^SUMMARY " /tmp/cqm_recover.log || {
     exit 1
 }
 
-echo "==> perf baseline smoke (perfbase schema + thread-scaling gate)"
+echo "==> perf baseline smoke (perfbase schema)"
 # perfbase --smoke times the hot paths on small workloads, writes the baseline
-# JSON, re-reads it, validates the cqm-bench/perfbase/v4 schema and applies its
-# one gate (see crates/bench/src/perf.rs): clustering on 4 threads must not be
-# slower than serial, within a core-aware tolerance. On 1 core perfbase skips
-# the gate itself, because time-sliced threads measure the scheduler.
+# JSON, re-reads it and validates the cqm-bench/perfbase/v5 schema (see
+# crates/bench/src/perf.rs). The timings are a record: no step compares them.
 ./target/release/perfbase --smoke --out "$CRASH_DIR/BENCH_PERFBASE.json"
 test -s "$CRASH_DIR/BENCH_PERFBASE.json" || {
     echo "check.sh: perfbase did not write the baseline JSON" >&2
     exit 1
 }
-# A baseline regenerated on a 1-core container carries time-sliced
-# multi-thread timings: perfbase skips the thread-scaling gate there, and this
-# echo makes the missing coverage impossible to miss in the CI log.
-if grep -q '"available_parallelism": 1' "$CRASH_DIR/BENCH_PERFBASE.json"; then
-    echo "check.sh: WARNING: perf baseline taken on 1 core — the thread-scaling" >&2
-    echo "check.sh: WARNING: gate, the only perf gate, was SKIPPED. Re-run on" >&2
-    echo "check.sh: WARNING: real cores before reading the multi-thread" >&2
-    echo "check.sh: WARNING: columns as evidence." >&2
-fi
 
 echo "==> serve suite (torn frames, overload, worker-count determinism)"
 cargo test -q --test serve
