@@ -199,19 +199,25 @@ mod tests {
 
     #[test]
     fn config_validation() {
-        assert!(DriftConfig::default().validate().is_ok());
-        let mut c = DriftConfig::default();
-        c.delta = -0.1;
-        assert!(c.validate().is_err());
-        let mut c = DriftConfig::default();
-        c.warn_threshold = 0.0;
-        assert!(c.validate().is_err());
-        let mut c = DriftConfig::default();
-        c.drift_threshold = c.warn_threshold / 2.0;
-        assert!(c.validate().is_err());
-        let mut c = DriftConfig::default();
-        c.drift_threshold = f64::INFINITY;
-        assert!(c.validate().is_err());
+        let ok = DriftConfig::default();
+        assert!(ok.validate().is_ok());
+        for bad in [
+            DriftConfig { delta: -0.1, ..ok },
+            DriftConfig {
+                warn_threshold: 0.0,
+                ..ok
+            },
+            DriftConfig {
+                drift_threshold: ok.warn_threshold / 2.0,
+                ..ok
+            },
+            DriftConfig {
+                drift_threshold: f64::INFINITY,
+                ..ok
+            },
+        ] {
+            assert!(bad.validate().is_err(), "{bad:?}");
+        }
     }
 
     #[test]
@@ -312,7 +318,7 @@ mod tests {
         d.reset();
         assert_eq!(d.state(), DriftState::Stable);
         assert_eq!(d.observed(), 0);
-        assert_eq!(d.statistic(), 0.0);
+        assert_eq!(d.statistic().to_bits(), 0.0f64.to_bits());
         // The new regime is its new normal.
         for i in 0..200 {
             assert_eq!(d.observe_margin(0.0), DriftState::Stable, "i={i}");

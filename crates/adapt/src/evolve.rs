@@ -26,7 +26,6 @@
 use cqm_cluster::normalize::UnitScaler;
 use cqm_cluster::subtractive::{SubtractiveClustering, SubtractiveParams};
 use cqm_fuzzy::{MembershipFunction, TskFis, TskRule};
-use cqm_parallel::WorkerPool;
 
 use crate::{AdaptError, Result};
 
@@ -142,12 +141,7 @@ impl RuleEvolution {
     /// * [`AdaptError::NotEnoughData`] for an empty window.
     /// * Propagated cluster errors on ragged/non-finite rows or centers of
     ///   the wrong dimension.
-    pub fn evolve(
-        &self,
-        current: &[Vec<f64>],
-        rows: &[Vec<f64>],
-        pool: &WorkerPool,
-    ) -> Result<EvolvedRules> {
+    pub fn evolve(&self, current: &[Vec<f64>], rows: &[Vec<f64>]) -> Result<EvolvedRules> {
         self.config.validate()?;
         if rows.is_empty() {
             return Err(AdaptError::NotEnoughData { have: 0, need: 1 });
@@ -157,7 +151,7 @@ impl RuleEvolution {
         let rows_unit = scaler.transform_all(rows)?;
         // The initial potential field over the window (computed in the same
         // unit space — initial_potentials refits the identical scaler).
-        let potentials = clustering.initial_potentials(rows, pool)?;
+        let potentials = clustering.initial_potentials(rows)?;
         let reference = potentials.iter().fold(0.0f64, |a, &p| a.max(p));
         let radius = self.config.clustering.radius;
         let merge_d2 = (self.config.merge_fraction * radius).powi(2);
@@ -325,28 +319,39 @@ mod tests {
 
     #[test]
     fn config_validation() {
-        assert!(EvolveConfig::default().validate().is_ok());
-        let mut c = EvolveConfig::default();
-        c.merge_fraction = 0.0;
-        assert!(c.validate().is_err());
-        let mut c = EvolveConfig::default();
-        c.min_sigma_fraction = 1.0;
-        assert!(c.validate().is_err());
-        let mut c = EvolveConfig::default();
-        c.clustering.radius = 0.0;
-        assert!(c.validate().is_err());
+        let ok = EvolveConfig::default();
+        assert!(ok.validate().is_ok());
+        for bad in [
+            EvolveConfig {
+                merge_fraction: 0.0,
+                ..ok
+            },
+            EvolveConfig {
+                min_sigma_fraction: 1.0,
+                ..ok
+            },
+            EvolveConfig {
+                clustering: SubtractiveParams {
+                    radius: 0.0,
+                    ..ok.clustering
+                },
+                ..ok
+            },
+        ] {
+            assert!(bad.validate().is_err(), "{bad:?}");
+        }
     }
 
     #[test]
     fn empty_window_rejected() {
         let ev = RuleEvolution::new(EvolveConfig::default()).unwrap();
-        assert!(ev.evolve(&[], &[], &WorkerPool::serial()).is_err());
+        assert!(ev.evolve(&[], &[]).is_err());
     }
 
     #[test]
     fn bootstrap_from_no_centers_seeds_both_blobs() {
         let ev = RuleEvolution::new(EvolveConfig::default()).unwrap();
-        let out = ev.evolve(&[], &two_blobs(), &WorkerPool::serial()).unwrap();
+        let out = ev.evolve(&[], &two_blobs()).unwrap();
         assert_eq!(out.kept, 0);
         assert!(out.inserted >= 2, "{out:?}");
         assert_eq!(out.centers.len(), out.inserted);
@@ -358,7 +363,7 @@ mod tests {
         let ev = RuleEvolution::new(EvolveConfig::default()).unwrap();
         // Centers sitting on the blob cores.
         let current = vec![vec![0.15, 0.125], vec![0.85, 0.875]];
-        let out = ev.evolve(&current, &rows, &WorkerPool::serial()).unwrap();
+        let out = ev.evolve(&current, &rows).unwrap();
         assert_eq!(out.kept, 2);
         assert_eq!(out.merged, 0);
         assert_eq!(out.pruned, 0);
@@ -372,7 +377,7 @@ mod tests {
         let ev = RuleEvolution::new(EvolveConfig::default()).unwrap();
         // Only the first blob is covered; the second must be discovered.
         let current = vec![vec![0.15, 0.125]];
-        let out = ev.evolve(&current, &rows, &WorkerPool::serial()).unwrap();
+        let out = ev.evolve(&current, &rows).unwrap();
         assert_eq!(out.kept, 1);
         assert!(out.inserted >= 1, "{out:?}");
         // The inserted center lands in the uncovered blob.
@@ -392,7 +397,7 @@ mod tests {
             vec![0.16, 0.13], // ~same rule
             vec![0.85, 0.875],
         ];
-        let out = ev.evolve(&current, &rows, &WorkerPool::serial()).unwrap();
+        let out = ev.evolve(&current, &rows).unwrap();
         assert_eq!(out.merged, 1, "{out:?}");
         assert_eq!(out.kept, 2);
     }
@@ -403,47 +408,22 @@ mod tests {
         let ev = RuleEvolution::new(EvolveConfig::default()).unwrap();
         // Third center in a region the window never visits.
         let current = vec![vec![0.15, 0.125], vec![0.85, 0.875], vec![0.9, 0.1]];
-        let out = ev.evolve(&current, &rows, &WorkerPool::serial()).unwrap();
+        let out = ev.evolve(&current, &rows).unwrap();
         assert_eq!(out.pruned, 1, "{out:?}");
         assert_eq!(out.kept, 2);
-    }
-
-    #[test]
-    fn evolution_is_deterministic_at_any_worker_count() {
-        let rows = two_blobs();
-        let ev = RuleEvolution::new(EvolveConfig::default()).unwrap();
-        let current = vec![vec![0.15, 0.125]];
-        let mut snapshots: Vec<Vec<Vec<u64>>> = Vec::new();
-        for threads in [1usize, 2, 3, 8] {
-            let pool = if threads == 1 {
-                WorkerPool::serial()
-            } else {
-                WorkerPool::new(threads)
-            };
-            let out = ev.evolve(&current, &rows, &pool).unwrap();
-            snapshots.push(
-                out.centers
-                    .iter()
-                    .map(|c| c.iter().map(|v| v.to_bits()).collect())
-                    .collect(),
-            );
-        }
-        for s in &snapshots[1..] {
-            assert_eq!(s, &snapshots[0]);
-        }
     }
 
     #[test]
     fn structure_builds_a_usable_fis() {
         let rows = two_blobs();
         let ev = RuleEvolution::new(EvolveConfig::default()).unwrap();
-        let out = ev.evolve(&[], &rows, &WorkerPool::serial()).unwrap();
+        let out = ev.evolve(&[], &rows).unwrap();
         let fis = ev.structure_for(&out.centers, &rows).unwrap();
         assert_eq!(fis.rule_count(), out.centers.len());
         assert_eq!(fis.input_dim(), 2);
         // Zero consequents: output is 0 everywhere a rule fires.
         let y = fis.eval(&rows[0]).unwrap();
-        assert_eq!(y, 0.0);
+        assert_eq!(y.to_bits(), 0.0f64.to_bits());
         assert!(ev.structure_for(&[], &rows).is_err());
         assert!(ev.structure_for(&out.centers, &[]).is_err());
     }
@@ -452,7 +432,7 @@ mod tests {
     fn centers_of_reads_antecedents() {
         let rows = two_blobs();
         let ev = RuleEvolution::new(EvolveConfig::default()).unwrap();
-        let out = ev.evolve(&[], &rows, &WorkerPool::serial()).unwrap();
+        let out = ev.evolve(&[], &rows).unwrap();
         let fis = ev.structure_for(&out.centers, &rows).unwrap();
         let back = RuleEvolution::centers_of(&fis);
         let a: Vec<Vec<u64>> = out

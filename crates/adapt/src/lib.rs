@@ -18,8 +18,8 @@
 //!   potential against the window exceeds the accept ratio seeds a new
 //!   rule; rules whose centers collapse onto each other are merged.
 //! * [`supervisor`] — [`supervisor::AdaptationSupervisor`] wires it all
-//!   together: observe → window + detector; on confirmed drift retrain in
-//!   the background via `cqm-parallel`, validate the candidate (holdout
+//!   together: observe → window + detector; on confirmed drift retrain
+//!   beside the serve path, validate the candidate (holdout
 //!   RMSE, checkpoint round-trip, replay probe), promote through
 //!   `CqmServer::swap_model`, roll back to last-good on regression. The
 //!   serve hot path is never blocked.

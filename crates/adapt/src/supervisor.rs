@@ -12,7 +12,7 @@
 //!    noisy hour cannot thrash the model.
 //! 3. **retrain** — on confirmed drift the rule structure is evolved
 //!    against the window ([`RuleEvolution`]; the O(n²) potential field
-//!    runs on the supervisor's `cqm-parallel` worker pool) and the TSK
+//!    is one serial pass over the sample pairs) and the TSK
 //!    consequents are re-estimated by streaming RLS
 //!    ([`StreamingConsequents`]) warm-started from the live coefficients
 //!    (same structure) or from the evolved structure's zeros. The
@@ -38,7 +38,6 @@ use cqm_core::classifier::{ClassId, Classifier};
 use cqm_core::model::{CqmModel, MODEL_VERSION};
 use cqm_core::normalize::Quality;
 use cqm_core::quality::QualityMeasure;
-use cqm_parallel::WorkerPool;
 use cqm_persist::CheckpointHandle;
 use cqm_serve::{CqmServer, ServeCheckpoint, ServedModel};
 use cqm_stats::mle::QualityGroups;
@@ -77,8 +76,6 @@ pub struct AdaptationConfig {
     /// Acceptance bar: candidate holdout RMSE must be at most
     /// `live RMSE × max_holdout_ratio`.
     pub max_holdout_ratio: f64,
-    /// Worker threads for the background retrain (0 = serial).
-    pub workers: usize,
 }
 
 impl Default for AdaptationConfig {
@@ -93,7 +90,6 @@ impl Default for AdaptationConfig {
             rls_lambda: 1.0,
             rls_epochs: 2,
             max_holdout_ratio: 1.0,
-            workers: 0,
         }
     }
 }
@@ -222,7 +218,6 @@ pub struct AdaptationSupervisor {
     window: SlidingWindow,
     detector: DriftDetector,
     evolution: RuleEvolution,
-    pool: WorkerPool,
     live: ServedModel,
     tenant: String,
     validate_path: PathBuf,
@@ -236,8 +231,7 @@ impl AdaptationSupervisor {
     ///
     /// # Errors
     ///
-    /// Propagates [`AdaptationConfig::validate`] and worker-pool
-    /// construction failures.
+    /// Propagates [`AdaptationConfig::validate`].
     pub fn new(
         config: AdaptationConfig,
         live: ServedModel,
@@ -248,17 +242,11 @@ impl AdaptationSupervisor {
         let window = SlidingWindow::new(config.window_capacity)?;
         let detector = DriftDetector::new(config.drift)?;
         let evolution = RuleEvolution::new(config.evolve)?;
-        let pool = if config.workers == 0 {
-            WorkerPool::serial()
-        } else {
-            WorkerPool::new(config.workers)
-        };
         Ok(AdaptationSupervisor {
             config,
             window,
             detector,
             evolution,
-            pool,
             live,
             tenant: tenant.into(),
             validate_path: validate_dir.into().join("adapt_candidate.ckpt"),
@@ -426,9 +414,7 @@ impl AdaptationSupervisor {
         // Evolve the rule structure against the window.
         let rules_before = measure.fis().rule_count();
         let current_centers = RuleEvolution::centers_of(measure.fis());
-        let structure = self
-            .evolution
-            .evolve(&current_centers, &train_rows, &self.pool)?;
+        let structure = self.evolution.evolve(&current_centers, &train_rows)?;
         let mut fis = if structure.changed() {
             self.evolution
                 .structure_for(&structure.centers, &train_rows)?
@@ -646,28 +632,40 @@ mod tests {
 
     #[test]
     fn config_validation() {
-        assert!(AdaptationConfig::default().validate().is_ok());
-        let mut c = AdaptationConfig::default();
-        c.window_capacity = 0;
-        assert!(c.validate().is_err());
-        let mut c = AdaptationConfig::default();
-        c.min_window_fill = 4;
-        assert!(c.validate().is_err());
-        let mut c = AdaptationConfig::default();
-        c.min_window_fill = c.window_capacity + 1;
-        assert!(c.validate().is_err());
-        let mut c = AdaptationConfig::default();
-        c.holdout_every = 1;
-        assert!(c.validate().is_err());
-        let mut c = AdaptationConfig::default();
-        c.rls_lambda = 0.0;
-        assert!(c.validate().is_err());
-        let mut c = AdaptationConfig::default();
-        c.rls_epochs = 0;
-        assert!(c.validate().is_err());
-        let mut c = AdaptationConfig::default();
-        c.max_holdout_ratio = 0.0;
-        assert!(c.validate().is_err());
+        let ok = AdaptationConfig::default();
+        assert!(ok.validate().is_ok());
+        for bad in [
+            AdaptationConfig {
+                window_capacity: 0,
+                ..ok.clone()
+            },
+            AdaptationConfig {
+                min_window_fill: 4,
+                ..ok.clone()
+            },
+            AdaptationConfig {
+                min_window_fill: ok.window_capacity + 1,
+                ..ok.clone()
+            },
+            AdaptationConfig {
+                holdout_every: 1,
+                ..ok.clone()
+            },
+            AdaptationConfig {
+                rls_lambda: 0.0,
+                ..ok.clone()
+            },
+            AdaptationConfig {
+                rls_epochs: 0,
+                ..ok.clone()
+            },
+            AdaptationConfig {
+                max_holdout_ratio: 0.0,
+                ..ok.clone()
+            },
+        ] {
+            assert!(bad.validate().is_err(), "{bad:?}");
+        }
     }
 
     #[test]
@@ -713,7 +711,7 @@ mod tests {
             sup.observe(&[cue], truth).unwrap();
             // Interleave easy, *right* samples so the window keeps both
             // outcomes.
-            let easy = if i % 2 == 0 {
+            let easy = if i.is_multiple_of(2) {
                 0.05 + r * 0.1
             } else {
                 0.85 + r * 0.1

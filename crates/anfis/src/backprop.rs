@@ -19,7 +19,7 @@ use cqm_fuzzy::TskFis;
 use cqm_parallel::{WorkerPool, REDUCE_CHUNK};
 
 use crate::dataset::Dataset;
-use crate::{AnfisError, Result};
+use crate::{check_shape, AnfisError, Result};
 
 /// Accumulated premise gradients: `grads[j][i] = (∂E/∂µ_ij, ∂E/∂σ_ij)`.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,12 +33,41 @@ pub struct PremiseGradients {
 }
 
 impl PremiseGradients {
-    fn zeros(rules: usize, inputs: usize) -> Self {
+    pub(crate) fn zeros(rules: usize, inputs: usize) -> Self {
         PremiseGradients {
             grads: vec![vec![(0.0, 0.0); inputs]; rules],
             sse: 0.0,
             samples: 0,
         }
+    }
+
+    /// Fold per-chunk partials strictly in chunk order.
+    ///
+    /// # Errors
+    ///
+    /// [`AnfisError::InvalidData`] if no sample contributed.
+    pub(crate) fn fold(partials: Vec<Self>, rules: usize, inputs: usize) -> Result<Self> {
+        let mut it = partials.into_iter();
+        // A non-empty dataset always yields at least one chunk.
+        let mut acc = it
+            .next()
+            .unwrap_or_else(|| PremiseGradients::zeros(rules, inputs));
+        for part in it {
+            acc.sse += part.sse;
+            acc.samples += part.samples;
+            for (row, prow) in acc.grads.iter_mut().zip(&part.grads) {
+                for (g, pg) in row.iter_mut().zip(prow) {
+                    g.0 += pg.0;
+                    g.1 += pg.1;
+                }
+            }
+        }
+        if acc.samples == 0 {
+            return Err(AnfisError::InvalidData(
+                "no sample activates any rule".into(),
+            ));
+        }
+        Ok(acc)
     }
 
     /// Euclidean norm of the full gradient vector (used for step-size
@@ -111,16 +140,7 @@ pub fn premise_gradients_with(
     data: &Dataset,
     pool: &WorkerPool,
 ) -> Result<PremiseGradients> {
-    if data.is_empty() {
-        return Err(AnfisError::InvalidData("empty dataset".into()));
-    }
-    if data.dim() != fis.input_dim() {
-        return Err(AnfisError::InvalidData(format!(
-            "dataset dimension {} does not match FIS input dimension {}",
-            data.dim(),
-            fis.input_dim()
-        )));
-    }
+    check_shape(fis, data)?;
     let m = fis.rule_count();
     let n = fis.input_dim();
     let inputs = data.inputs();
@@ -132,25 +152,7 @@ pub fn premise_gradients_with(
         }
         part
     });
-    let mut it = partials.into_iter();
-    // A non-empty dataset always yields at least one chunk.
-    let mut acc = it.next().unwrap_or_else(|| PremiseGradients::zeros(m, n));
-    for part in it {
-        acc.sse += part.sse;
-        acc.samples += part.samples;
-        for (row, prow) in acc.grads.iter_mut().zip(&part.grads) {
-            for (g, pg) in row.iter_mut().zip(prow) {
-                g.0 += pg.0;
-                g.1 += pg.1;
-            }
-        }
-    }
-    if acc.samples == 0 {
-        return Err(AnfisError::InvalidData(
-            "no sample activates any rule".into(),
-        ));
-    }
-    Ok(acc)
+    PremiseGradients::fold(partials, m, n)
 }
 
 /// Apply one normalized gradient-descent step to the Gaussian premises:

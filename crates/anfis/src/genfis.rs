@@ -9,6 +9,9 @@
 //!    each dimension's units);
 //! 3. the linear consequents are fitted by one global least-squares solve
 //!    (the paper uses SVD).
+//!
+//! [`genfis_structure`] stops after step 2, for callers that run hybrid
+//! learning next.
 
 // lint: allow(PANIC_IN_LIB, file) -- cluster-to-rule mapping indexes shapes produced by the validated clustering step
 
@@ -21,24 +24,53 @@ use crate::dataset::Dataset;
 use crate::lse::fit_consequents_with;
 use crate::{AnfisError, Result};
 
-/// Parameters of the automated FIS generation.
+/// Structure-identification parameters: steps 1–2 of [`genfis`], which
+/// fix the rules and their premises.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GenfisParams {
+pub struct StructureParams {
     /// Subtractive clustering parameters (radius, squash, accept/reject).
     pub clustering: SubtractiveParams,
-    /// Backend for the consequent least-squares fit (paper: SVD).
-    pub lstsq: LstsqMethod,
     /// Lower bound on membership widths as a fraction of the dimension
     /// range, protecting against degenerate clusters.
     pub min_sigma_fraction: f64,
 }
 
+impl Default for StructureParams {
+    fn default() -> Self {
+        StructureParams {
+            clustering: SubtractiveParams::default(),
+            min_sigma_fraction: 1e-3,
+        }
+    }
+}
+
+impl StructureParams {
+    /// Convenience: default parameters with a different cluster radius.
+    pub fn with_radius(radius: f64) -> Self {
+        StructureParams {
+            clustering: SubtractiveParams {
+                radius,
+                ..SubtractiveParams::default()
+            },
+            ..StructureParams::default()
+        }
+    }
+}
+
+/// Parameters of the automated FIS generation.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct GenfisParams {
+    /// Structure identification (steps 1–2).
+    pub structure: StructureParams,
+    /// Backend for the consequent least-squares fit (paper: SVD).
+    pub lstsq: LstsqMethod,
+}
+
 impl Default for GenfisParams {
     fn default() -> Self {
         GenfisParams {
-            clustering: SubtractiveParams::default(),
+            structure: StructureParams::default(),
             lstsq: LstsqMethod::Svd,
-            min_sigma_fraction: 1e-3,
         }
     }
 }
@@ -47,10 +79,7 @@ impl GenfisParams {
     /// Convenience: default parameters with a different cluster radius.
     pub fn with_radius(radius: f64) -> Self {
         GenfisParams {
-            clustering: SubtractiveParams {
-                radius,
-                ..SubtractiveParams::default()
-            },
+            structure: StructureParams::with_radius(radius),
             ..GenfisParams::default()
         }
     }
@@ -68,21 +97,37 @@ pub fn genfis(data: &Dataset, params: &GenfisParams) -> Result<TskFis> {
     genfis_with(data, params, &WorkerPool::serial())
 }
 
-/// [`genfis`] on a worker pool: the subtractive-clustering potential field
-/// and the consequent least-squares design matrix are computed in parallel.
-/// Both stages are deterministic in the thread count, so the generated FIS
-/// is bit-identical to the serial build.
+/// [`genfis`] on a worker pool: the consequent least-squares design matrix
+/// is assembled on `pool`, deterministically in the thread count, so the
+/// generated FIS is bit-identical to the serial build.
 ///
 /// # Errors
 ///
 /// Same conditions as [`genfis`].
 pub fn genfis_with(data: &Dataset, params: &GenfisParams, pool: &WorkerPool) -> Result<TskFis> {
+    let mut fis = genfis_structure(data, &params.structure)?;
+    fit_consequents_with(&mut fis, data, params.lstsq, pool)?;
+    Ok(fis)
+}
+
+/// Structure identification alone (steps 1–2 of [`genfis`]): the rules and
+/// their Gaussian premises, with every consequent zero. Hybrid learning's
+/// first epoch fits the consequents from the premises alone, so
+/// `genfis_structure` then [`train_hybrid`](crate::train_hybrid) trains
+/// the same bits as [`genfis`] then `train_hybrid`, one least-squares solve
+/// sooner.
+///
+/// # Errors
+///
+/// * [`AnfisError::InvalidData`] for an empty dataset.
+/// * [`AnfisError::Cluster`] if clustering fails.
+pub fn genfis_structure(data: &Dataset, params: &StructureParams) -> Result<TskFis> {
     if data.is_empty() {
         return Err(AnfisError::InvalidData("empty dataset".into()));
     }
     let joint = data.joint_rows();
     let clustering = SubtractiveClustering::new(params.clustering);
-    let result = clustering.cluster_with(&joint, pool)?;
+    let result = clustering.cluster(&joint)?;
 
     let n = data.dim();
     // Chiu's width heuristic: sigma = ra * range / sqrt(8), per dimension,
@@ -100,9 +145,7 @@ pub fn genfis_with(data: &Dataset, params: &GenfisParams, pool: &WorkerPool) -> 
         }
         rules.push(TskRule::new(antecedents, vec![0.0; n + 1])?);
     }
-    let mut fis = TskFis::new(rules)?;
-    fit_consequents_with(&mut fis, data, params.lstsq, pool)?;
-    Ok(fis)
+    Ok(TskFis::new(rules)?)
 }
 
 #[cfg(test)]
@@ -184,6 +227,48 @@ mod tests {
     #[test]
     fn empty_data_rejected() {
         assert!(genfis(&Dataset::new(1), &GenfisParams::default()).is_err());
+        assert!(genfis_structure(&Dataset::new(1), &StructureParams::default()).is_err());
+    }
+
+    fn fis_bits(fis: &TskFis) -> Vec<u64> {
+        let mut bits = Vec::new();
+        for rule in fis.rules() {
+            for mf in rule.antecedents() {
+                let MembershipFunction::Gaussian { mu, sigma } = *mf;
+                bits.extend([mu.to_bits(), sigma.to_bits()]);
+            }
+            bits.extend(rule.consequent().iter().map(|c| c.to_bits()));
+        }
+        bits
+    }
+
+    #[test]
+    fn structure_then_hybrid_trains_the_bits_of_genfis_then_hybrid() {
+        use crate::hybrid::{train_hybrid, HybridConfig};
+        let d = function_data(|x| (x * 5.0).sin() + 0.3 * x, 90);
+        let params = GenfisParams::with_radius(0.3);
+        let mut fitted = genfis(&d, &params).unwrap();
+        let mut bare = genfis_structure(&d, &params.structure).unwrap();
+        assert_eq!(bare.rule_count(), fitted.rule_count());
+        for (b, f) in bare.rules().iter().zip(fitted.rules()) {
+            assert_eq!(b.antecedents(), f.antecedents());
+            assert!(b.consequent().iter().all(|c| c.to_bits() == 0));
+        }
+        let config = HybridConfig {
+            epochs: 8,
+            ..HybridConfig::default()
+        };
+        let from_fitted = train_hybrid(&mut fitted, &d, None, &config).unwrap();
+        let from_bare = train_hybrid(&mut bare, &d, None, &config).unwrap();
+        assert_eq!(fis_bits(&bare), fis_bits(&fitted));
+        let errs = |r: &crate::TrainReport| -> Vec<u64> {
+            r.train_errors.iter().map(|e| e.to_bits()).collect()
+        };
+        assert_eq!(errs(&from_bare), errs(&from_fitted));
+        assert_eq!(
+            from_bare.final_step.to_bits(),
+            from_fitted.final_step.to_bits()
+        );
     }
 
     #[test]
@@ -232,14 +317,14 @@ pub fn genfis_from_centers(
             hi[d] = hi[d].max(x[d]);
         }
     }
-    let radius = params.clustering.radius;
+    let radius = params.structure.clustering.radius;
     let mut rules = Vec::with_capacity(centers.len());
     for center in centers {
         let mut antecedents = Vec::with_capacity(n);
         for d in 0..n {
             let range = (hi[d] - lo[d]).max(f64::MIN_POSITIVE.sqrt());
             let sigma = (radius * range / 8.0f64.sqrt())
-                .max(params.min_sigma_fraction * range)
+                .max(params.structure.min_sigma_fraction * range)
                 .max(f64::MIN_POSITIVE.sqrt());
             antecedents.push(MembershipFunction::gaussian(center[d], sigma)?);
         }

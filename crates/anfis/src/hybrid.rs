@@ -19,9 +19,9 @@ use cqm_math::linsolve::LstsqMethod;
 use cqm_parallel::WorkerPool;
 use serde::{Deserialize, Serialize};
 
-use crate::backprop::{apply_premise_step, premise_gradients_with};
+use crate::backprop::apply_premise_step;
 use crate::dataset::Dataset;
-use crate::lse::fit_consequents_with;
+use crate::epoch::EpochTable;
 #[cfg(test)]
 use crate::rmse;
 use crate::{rmse_with, AnfisError, Result};
@@ -78,7 +78,7 @@ impl HybridConfig {
                 value: self.initial_step,
             });
         }
-        if self.step_increase < 1.0 {
+        if !(self.step_increase >= 1.0 && self.step_increase.is_finite()) {
             return Err(AnfisError::InvalidConfig {
                 name: "step_increase",
                 value: self.step_increase,
@@ -158,11 +158,18 @@ pub fn train_hybrid(
     train_hybrid_with(fis, train, check, config, &WorkerPool::serial())
 }
 
-/// [`train_hybrid`] on a worker pool. Every epoch stage — the LSE design
-/// matrix, both RMSE evaluations and the premise gradients — runs on `pool`
+/// [`train_hybrid`] on a worker pool. Each epoch evaluates every training
+/// row's memberships and firing strengths once, into a table allocated once
+/// per run, and builds the LSE design matrix, the training RMSE and the
+/// premise gradients from it, with the bits the per-stage reference
+/// functions give. Both RMSE evaluations and the gradients run on `pool`
 /// with deterministic chunking (see `cqm_parallel`), so the trained
 /// parameters and the full [`TrainReport`] are bit-identical at any thread
 /// count, including the serial pool used by [`train_hybrid`].
+///
+/// The first epoch fits the consequents from the premises alone, so the
+/// consequents `fis` arrives with are never read:
+/// [`genfis_structure`](crate::genfis_structure) is the matching start.
 ///
 /// # Errors
 ///
@@ -194,11 +201,11 @@ pub fn train_hybrid_with(
     let mut last_error = f64::INFINITY;
     let mut updown = 0usize;
     let mut last_direction_down = true;
+    let mut table = EpochTable::new(fis, train)?;
 
     for epoch in 0..config.epochs {
-        // Forward pass: LSE on consequents.
-        fit_consequents_with(fis, train, config.lstsq, pool)?;
-        let train_err = rmse_with(fis, train, pool);
+        // Forward pass: this epoch's table, then LSE on the consequents.
+        let train_err = table.forward(fis, train, config.lstsq, pool)?;
         train_errors.push(train_err);
 
         if let Some(c) = check {
@@ -247,16 +254,17 @@ pub fn train_hybrid_with(
 
         // Backward pass: gradient descent on the Gaussian premises.
         if epoch + 1 < config.epochs {
-            let grads = premise_gradients_with(fis, train, pool)?;
+            let grads = table.premise_gradients(fis, train, pool)?;
             apply_premise_step(fis, &grads, step, config.min_sigma);
         }
     }
 
     // lint: allow(PANIC_IN_LIB) -- config.validate rejects epochs == 0, so the loop body assigns best at least once
     let (_, best_fis, best_epoch) = best.expect("at least one epoch ran");
+    // The kept clone was taken right after its epoch's forward pass, so it
+    // carries the consequents fitted for its own premises; nothing is
+    // re-fitted here.
     *fis = best_fis;
-    // Re-fit consequents for the restored premises (the stored clone already
-    // has them fitted, but make the invariant explicit and cheap to rely on).
     Ok(TrainReport {
         train_errors,
         check_errors,
@@ -295,6 +303,14 @@ mod tests {
             },
             HybridConfig {
                 step_increase: 0.9,
+                ..Default::default()
+            },
+            HybridConfig {
+                step_increase: f64::NAN,
+                ..Default::default()
+            },
+            HybridConfig {
+                step_increase: f64::INFINITY,
                 ..Default::default()
             },
             HybridConfig {

@@ -42,13 +42,14 @@
 
 pub mod backprop;
 pub mod dataset;
+mod epoch;
 pub mod genfis;
 pub mod grid;
 pub mod hybrid;
 pub mod lse;
 
 pub use dataset::Dataset;
-pub use genfis::{genfis, genfis_with, GenfisParams};
+pub use genfis::{genfis, genfis_structure, genfis_with, GenfisParams, StructureParams};
 pub use hybrid::{train_hybrid, train_hybrid_with, HybridConfig, TrainReport};
 
 /// Errors produced by ANFIS construction and training.
@@ -117,6 +118,22 @@ impl From<cqm_cluster::ClusterError> for AnfisError {
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, AnfisError>;
 
+/// The data checks every training pass makes first: a non-empty dataset
+/// of the FIS input dimension.
+pub(crate) fn check_shape(fis: &cqm_fuzzy::TskFis, data: &dataset::Dataset) -> Result<()> {
+    if data.is_empty() {
+        return Err(AnfisError::InvalidData("empty dataset".into()));
+    }
+    if data.dim() != fis.input_dim() {
+        return Err(AnfisError::InvalidData(format!(
+            "dataset dimension {} does not match FIS input dimension {}",
+            data.dim(),
+            fis.input_dim()
+        )));
+    }
+    Ok(())
+}
+
 /// Root-mean-square error of a FIS over a dataset; samples on which the FIS
 /// cannot fire any rule are skipped (they are reported by training instead).
 pub fn rmse(fis: &cqm_fuzzy::TskFis, data: &dataset::Dataset) -> f64 {
@@ -152,6 +169,12 @@ pub fn rmse_with(
         }
         (sum, n)
     });
+    rmse_from_parts(parts)
+}
+
+/// Fold per-chunk `(squared-error sum, row count)` partials in chunk order
+/// into an RMSE (infinite when no row counted).
+pub(crate) fn rmse_from_parts(parts: Vec<(f64, usize)>) -> f64 {
     let mut sum = 0.0;
     let mut n = 0usize;
     for (s, c) in parts {

@@ -22,7 +22,7 @@ use cqm_math::matrix::Matrix;
 use cqm_parallel::WorkerPool;
 
 use crate::dataset::Dataset;
-use crate::{AnfisError, Result};
+use crate::{check_shape, AnfisError, Result};
 
 /// Samples per parallel work item when assembling the design matrix. Rows
 /// are per-sample independent, so any chunking yields bit-identical output;
@@ -56,16 +56,7 @@ pub fn design_matrix_with(
     data: &Dataset,
     pool: &WorkerPool,
 ) -> Result<(Matrix, Vec<f64>, Vec<usize>)> {
-    if data.is_empty() {
-        return Err(AnfisError::InvalidData("empty dataset".into()));
-    }
-    if data.dim() != fis.input_dim() {
-        return Err(AnfisError::InvalidData(format!(
-            "dataset dimension {} does not match FIS input dimension {}",
-            data.dim(),
-            fis.input_dim()
-        )));
-    }
+    check_shape(fis, data)?;
     let n = fis.input_dim();
     let m = fis.rule_count();
     let cols = m * (n + 1);
@@ -584,16 +575,7 @@ pub fn fit_constant_consequents(
     data: &Dataset,
     method: LstsqMethod,
 ) -> Result<f64> {
-    if data.is_empty() {
-        return Err(AnfisError::InvalidData("empty dataset".into()));
-    }
-    if data.dim() != fis.input_dim() {
-        return Err(AnfisError::InvalidData(format!(
-            "dataset dimension {} does not match FIS input dimension {}",
-            data.dim(),
-            fis.input_dim()
-        )));
-    }
+    check_shape(fis, data)?;
     let m = fis.rule_count();
     let mut rows: Vec<f64> = Vec::new();
     let mut targets = Vec::new();

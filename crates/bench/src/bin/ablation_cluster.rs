@@ -40,8 +40,8 @@ fn main() {
             .expect("valid sample");
     }
     let mut params = GenfisParams::with_radius(0.15);
-    params.clustering.accept_ratio = 0.2;
-    params.clustering.reject_ratio = 0.03;
+    params.structure.clustering.accept_ratio = 0.2;
+    params.structure.clustering.reject_ratio = 0.03;
 
     println!("method                   rules   fit RMSE");
     println!("----------------------   -----   --------");

@@ -13,7 +13,7 @@
 // lint: allow(PANIC_IN_LIB, file) -- experiment driver: abort loudly on setup failure instead of degrading
 
 use cqm_anfis::dataset::Dataset;
-use cqm_anfis::genfis::genfis;
+use cqm_anfis::genfis::{genfis, GenfisParams};
 use cqm_anfis::lse::fit_constant_consequents;
 use cqm_anfis::rmse;
 use cqm_bench::{evaluation_pool, labeled_qualities, paper_testbed, Testbed};
@@ -42,8 +42,12 @@ fn main() {
         joint.push(row, target).expect("valid sample");
     }
 
-    let config = CqmTrainingConfig::default();
-    let mut linear = genfis(&joint, &config.genfis).expect("genfis");
+    // The quality FIS's structure, its consequents from one SVD fit.
+    let params = GenfisParams {
+        structure: CqmTrainingConfig::default().structure,
+        lstsq: LstsqMethod::Svd,
+    };
+    let mut linear = genfis(&joint, &params).expect("genfis");
     let linear_rmse = rmse(&linear, &joint);
     let _ = &mut linear;
 

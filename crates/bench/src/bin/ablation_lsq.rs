@@ -34,7 +34,6 @@ fn main() {
         LstsqMethod::NormalEquations,
     ] {
         let mut config = CqmTrainingConfig::default();
-        config.genfis.lstsq = method;
         config.hybrid.lstsq = method;
         let start = Instant::now();
         let result = train_cqm(&classifier, data.cues(), &truth, &config);

@@ -13,8 +13,8 @@
 //! cargo run --release -p cqm-bench --bin perfbase -- --section eval_single
 //! ```
 //!
-//! `--smoke` shrinks the workloads to CI size. Every full run re-reads the
-//! written JSON and validates it; no timing is gated (see
+//! `--smoke` shrinks the workloads to CI size. A run of every section
+//! re-reads the written JSON and validates it; no timing is gated (see
 //! `cqm_bench::perf`). On a 1-core container the run warns that its
 //! multi-thread timings are time-sliced.
 //!

@@ -45,11 +45,10 @@
 //!   1-core CI containers included.
 //!
 //! The document is a record, not a gate: [`PerfBaseline::validate`] checks
-//! its shape and nothing compares the timings. Schema v4 also timed
-//! clustering on pools and failed a run whose 4-thread time exceeded the
-//! serial one by a core-aware margin; two runs of the same commit on one
-//! shared 2-core host read that ratio as 0.62 and 1.13, so the gate could
-//! not tell a regression from the host.
+//! its shape and nothing compares the timings. Thread scaling on a shared
+//! host moves more from run to run than any bound a gate could hold: two
+//! runs of the same commit on one 2-core host read clustering's
+//! 4-thread/serial ratio as 0.62 and 1.13.
 //!
 //! The pooled training path is bit-identical to its serial counterpart at
 //! any thread count (the property the runtime is built around), so timings

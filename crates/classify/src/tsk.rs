@@ -7,11 +7,12 @@
 //! system, here applied to the classification problem itself.
 
 use cqm_anfis::dataset::Dataset;
-use cqm_anfis::genfis::{genfis, GenfisParams};
+use cqm_anfis::genfis::{genfis, genfis_structure, GenfisParams, StructureParams};
 use cqm_anfis::hybrid::{train_hybrid, HybridConfig};
 use cqm_core::classifier::{check_cue_vector, ClassId, Classifier};
 use cqm_core::CqmError;
 use cqm_fuzzy::{TskFis, TskKernel, TskScratch};
+use cqm_math::linsolve::LstsqMethod;
 use serde::{Deserialize, Serialize};
 
 use crate::dataset::ClassifiedDataset;
@@ -20,17 +21,29 @@ use crate::{ClassifyError, Result};
 /// Training options for the FIS classifier.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FisClassifierConfig {
-    /// Structure identification and initial consequent fit.
-    pub genfis: GenfisParams,
-    /// Hybrid learning; `None` keeps the pure genfis solution.
-    pub hybrid: Option<HybridConfig>,
+    /// Structure identification: the rules and their initial premises.
+    pub structure: StructureParams,
+    /// How the identified structure is fitted.
+    pub fit: FisFit,
+}
+
+/// How [`FisClassifier::train`] fits the FIS once its structure is
+/// identified.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum FisFit {
+    /// One global least-squares fit of the consequents with this solver;
+    /// the premises stay as identified (the pure genfis solution).
+    LeastSquares(LstsqMethod),
+    /// Hybrid learning: least-squares consequents and gradient-descent
+    /// premises, epoch by epoch.
+    Hybrid(HybridConfig),
 }
 
 impl Default for FisClassifierConfig {
     fn default() -> Self {
         FisClassifierConfig {
-            genfis: GenfisParams::with_radius(0.5),
-            hybrid: Some(HybridConfig {
+            structure: StructureParams::with_radius(0.5),
+            fit: FisFit::Hybrid(HybridConfig {
                 epochs: 15,
                 ..HybridConfig::default()
             }),
@@ -69,10 +82,22 @@ impl FisClassifier {
                 .push(cues.to_vec(), label.as_f64())
                 .map_err(ClassifyError::Anfis)?;
         }
-        let mut fis = genfis(&train, &config.genfis)?;
-        if let Some(hybrid) = &config.hybrid {
-            train_hybrid(&mut fis, &train, None, hybrid)?;
-        }
+        let fis = match config.fit {
+            FisFit::LeastSquares(lstsq) => genfis(
+                &train,
+                &GenfisParams {
+                    structure: config.structure,
+                    lstsq,
+                },
+            )?,
+            // Hybrid learning's first epoch fits the consequents, so it
+            // starts from the bare structure.
+            FisFit::Hybrid(hybrid) => {
+                let mut fis = genfis_structure(&train, &config.structure)?;
+                train_hybrid(&mut fis, &train, None, &hybrid)?;
+                fis
+            }
+        };
         Ok(FisClassifier {
             fis,
             num_classes: data.num_classes(),
@@ -303,10 +328,10 @@ mod tests {
     }
 
     #[test]
-    fn no_hybrid_config_works() {
+    fn least_squares_fit_works() {
         let data = three_band_data(120);
         let config = FisClassifierConfig {
-            hybrid: None,
+            fit: FisFit::LeastSquares(LstsqMethod::Svd),
             ..FisClassifierConfig::default()
         };
         let clf = FisClassifier::train(&data, &config).unwrap();

@@ -17,17 +17,21 @@
 //!    zone apply Chiu's distance criterion
 //!    `d_min/r_a + P*/P₁* ≥ 1`.
 //!
-//! ## Determinism of the parallel potential field
+//! ## The potential field, one term per pair
 //!
 //! The potential of each point is a **row-wise** sum `P_i = Σ_{j=0}^{n-1}
 //! exp(−α‖x_i−x_j‖²)` accumulated in ascending `j` (the `j = i` term is
-//! `exp(0) = 1`). Rows are independent, so distributing them over a
-//! [`WorkerPool`] cannot change any bit of the result — see DESIGN.md §9.
+//! `exp(0) = 1`). `d²(x_i, x_j)` and `d²(x_j, x_i)` have the same bits, so
+//! one serial pass over the triangle `i ≤ j` computes each pair's term
+//! once and adds it to both rows. Visiting `i` ascending, then `j ≥ i`
+//! ascending, hands every row its terms in ascending partner order, so each
+//! `P_i` is the same row sum [`SubtractiveClustering::potential_of`]
+//! computes — see DESIGN.md §9.
 //!
 //! ## Memory
 //!
-//! No `n×n` distance matrix is kept. The field sums each row as it goes,
-//! and the revision loop computes one `d²(·, center)` row per accepted
+//! No `n×n` distance matrix is kept. The field keeps one running sum per
+//! row and drops each term once it is added, and the revision loop computes one `d²(·, center)` row per accepted
 //! center, which the gray-zone criterion reuses. Memory is O(n) per center,
 //! and the distances carry the field's bits because `(a − b)² = (b − a)²`
 //! exactly in IEEE 754.
@@ -39,10 +43,6 @@ use crate::normalize::UnitScaler;
 use crate::{check_data, ClusterError, Result};
 use cqm_math::fastexp::exp_exact;
 use cqm_math::vector::dist_sq;
-use cqm_parallel::WorkerPool;
-
-/// Rows per parallel work item when building the potential field.
-const POTENTIAL_ROW_CHUNK: usize = 16;
 
 /// Parameters of subtractive clustering, defaults per Chiu (1997).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -143,38 +143,25 @@ impl SubtractiveClustering {
         &self.params
     }
 
-    /// Run the algorithm on `data` (original coordinates; normalization is
-    /// internal). Serial entry point: identical to
-    /// [`SubtractiveClustering::cluster_with`] on a one-thread pool.
-    ///
-    /// # Errors
-    ///
-    /// * [`ClusterError::InvalidData`] on empty/ragged/non-finite data.
-    /// * [`ClusterError::InvalidParameter`] from parameter validation.
-    pub fn cluster(&self, data: &[Vec<f64>]) -> Result<SubtractiveResult> {
-        self.cluster_with(data, &WorkerPool::serial())
-    }
-
-    /// The initial (pre-revision) potential field over the normalized data,
-    /// exposed for the serial-vs-parallel bit-identity tests.
+    /// The initial (pre-revision) potential field over the normalized data.
     ///
     /// # Errors
     ///
     /// Same conditions as [`SubtractiveClustering::cluster`].
-    pub fn initial_potentials(&self, data: &[Vec<f64>], pool: &WorkerPool) -> Result<Vec<f64>> {
+    pub fn initial_potentials(&self, data: &[Vec<f64>]) -> Result<Vec<f64>> {
         check_data(data)?;
         self.params.validate()?;
         let scaler = UnitScaler::fit(data)?;
         let x = scaler.transform_all(data)?;
         let alpha = 4.0 / (self.params.radius * self.params.radius);
-        Ok(potential_field(&x, alpha, pool))
+        Ok(potential_field(&x, alpha))
     }
 
     /// Potential of one **unit-normalized** point with respect to a set of
     /// unit-normalized data points: `P(x) = Σ_j exp(−α ‖x − x_j‖²)`,
-    /// accumulated in ascending `j` — the same fixed-order row sum the
-    /// batch [`potential_field`] uses, so a point that *is* `data[i]`
-    /// scores bit-identically to row `i` of
+    /// accumulated in ascending `j` — the same fixed-order sum each row of
+    /// the batch [`potential_field`] receives, so a point that *is*
+    /// `data[i]` scores bit-identically to row `i` of
     /// [`SubtractiveClustering::initial_potentials`] on the same
     /// normalization. This is the incremental entry point: streaming
     /// adaptation (`cqm-adapt`) scores one new sample against a window
@@ -205,16 +192,14 @@ impl SubtractiveClustering {
         Ok(p)
     }
 
-    /// Run the algorithm with the O(n²) potential field distributed over
-    /// `pool`. The result is bit-identical to the serial path at any thread
-    /// count: every point's potential is an independent row sum accumulated
-    /// in a fixed index order, and the revision loop that follows is
-    /// sequential.
+    /// Run the algorithm on `data` (original coordinates; normalization is
+    /// internal).
     ///
     /// # Errors
     ///
-    /// Same conditions as [`SubtractiveClustering::cluster`].
-    pub fn cluster_with(&self, data: &[Vec<f64>], pool: &WorkerPool) -> Result<SubtractiveResult> {
+    /// * [`ClusterError::InvalidData`] on empty/ragged/non-finite data.
+    /// * [`ClusterError::InvalidParameter`] from parameter validation.
+    pub fn cluster(&self, data: &[Vec<f64>]) -> Result<SubtractiveResult> {
         check_data(data)?;
         self.params.validate()?;
         let scaler = UnitScaler::fit(data)?;
@@ -224,7 +209,7 @@ impl SubtractiveClustering {
         let rb = self.params.squash * self.params.radius;
         let beta = 4.0 / (rb * rb);
 
-        let mut potential = potential_field(&x, alpha, pool);
+        let mut potential = potential_field(&x, alpha);
 
         // Data index of each accepted center, and its d²(·, center) row:
         // computed once by the revision loop, reused by the gray-zone
@@ -304,24 +289,24 @@ impl SubtractiveClustering {
 }
 
 /// Build the potential field `P_i = Σ_j exp(−α d²(x_i, x_j))` (ascending
-/// `j`; the `j = i` term is exactly `1.0`). No distance outlives its term.
-///
-/// Rows are distributed over `pool` in fixed [`POTENTIAL_ROW_CHUNK`] blocks;
-/// each row is an independent fixed-order sum, so the output is
-/// bit-identical at every thread count.
-fn potential_field(x: &[Vec<f64>], alpha: f64, pool: &WorkerPool) -> Vec<f64> {
-    let parts = pool.run_chunks(x.len(), POTENTIAL_ROW_CHUNK, |chunk| {
-        let mut pots = Vec::with_capacity(chunk.len());
-        for xi in &x[chunk.start..chunk.end] {
-            let mut p = 0.0f64;
-            for xj in x {
-                p += exp_exact(-alpha * dist_sq(xi, xj).expect("equal dims"));
-            }
-            pots.push(p);
+/// `j`) in one pass over the triangle `i ≤ j`: each pair's term is computed
+/// once and added to rows `i` and `j`. Row `i` receives its terms from
+/// partners `0..i` on earlier passes of the outer loop, then from `i..n` on
+/// its own, so every row is summed in ascending `j`, exactly as
+/// [`SubtractiveClustering::potential_of`] sums it. No distance outlives
+/// its term.
+fn potential_field(x: &[Vec<f64>], alpha: f64) -> Vec<f64> {
+    let mut pots = vec![0.0f64; x.len()];
+    for (i, xi) in x.iter().enumerate() {
+        // The j = i term, spelled as every other term is.
+        pots[i] += exp_exact(-alpha * dist_sq(xi, xi).expect("equal dims"));
+        for (j, xj) in x.iter().enumerate().skip(i + 1) {
+            let term = exp_exact(-alpha * dist_sq(xi, xj).expect("equal dims"));
+            pots[i] += term;
+            pots[j] += term;
         }
-        pots
-    });
-    parts.concat()
+    }
+    pots
 }
 
 #[cfg(test)]
@@ -493,67 +478,38 @@ mod tests {
     }
 
     #[test]
-    fn parallel_cluster_is_bit_identical_to_serial() {
-        let mut data = blob(0.0, 0.0, 40, 0.4);
-        data.extend(blob(4.0, 1.0, 40, 0.3));
-        data.extend(blob(-2.0, 5.0, 40, 0.5));
-        let runner = SubtractiveClustering::new(SubtractiveParams {
-            radius: 0.3,
-            ..SubtractiveParams::default()
-        });
-        let reference = runner.cluster(&data).unwrap();
-        for threads in [1usize, 2, 3, 8] {
-            let got = runner
-                .cluster_with(&data, &WorkerPool::new(threads))
-                .unwrap();
-            assert_eq!(got.centers.len(), reference.centers.len());
-            for (a, b) in got.centers.iter().zip(&reference.centers) {
-                for (x, y) in a.iter().zip(b) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "threads={threads}");
-                }
-            }
-            for (a, b) in got
-                .relative_potentials
-                .iter()
-                .zip(&reference.relative_potentials)
-            {
-                assert_eq!(a.to_bits(), b.to_bits(), "threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn initial_potentials_bit_identical_across_thread_counts() {
-        let mut data = blob(1.0, -1.0, 35, 0.6);
-        data.extend(blob(6.0, 2.0, 35, 0.2));
-        let runner = SubtractiveClustering::new(SubtractiveParams::default());
-        let reference = runner
-            .initial_potentials(&data, &WorkerPool::serial())
-            .unwrap();
-        for threads in [2usize, 3, 8] {
-            let got = runner
-                .initial_potentials(&data, &WorkerPool::new(threads))
-                .unwrap();
-            assert_eq!(got.len(), reference.len());
-            for (a, b) in got.iter().zip(&reference) {
-                assert_eq!(a.to_bits(), b.to_bits(), "threads={threads}");
-            }
-        }
-    }
-
-    #[test]
     fn potential_of_matches_field_rows_bit_for_bit() {
-        let mut data = blob(0.0, 0.0, 25, 0.3);
-        data.extend(blob(5.0, 2.0, 25, 0.4));
+        // `potential_of` sums one row in ascending j: the reference for
+        // the field's one-term-per-pair pass.
+        let mut small = blob(0.0, 0.0, 25, 0.3);
+        small.extend(blob(5.0, 2.0, 25, 0.4));
+        // 3-D, three blobs, and every fifth point repeated at once and
+        // again 100 rows later, so rows share exact duplicates on both
+        // sides of the diagonal.
+        let mut large: Vec<Vec<f64>> = Vec::new();
+        for (k, (cx, cy)) in [(0.0, 0.0), (4.0, 1.0), (-1.0, 3.0)]
+            .into_iter()
+            .enumerate()
+        {
+            for p in blob(cx, cy, 60, 0.2 + 0.1 * k as f64) {
+                large.push(vec![p[0], p[1], (p[0] * 3.0).sin()]);
+            }
+        }
+        for i in (0..large.len()).step_by(5) {
+            let dup = large[i].clone();
+            large.insert((i + 100).min(large.len()), dup.clone());
+            large.insert(i + 1, dup);
+        }
         let runner = SubtractiveClustering::new(SubtractiveParams::default());
-        let field = runner
-            .initial_potentials(&data, &WorkerPool::serial())
-            .unwrap();
-        let scaler = UnitScaler::fit(&data).unwrap();
-        let x = scaler.transform_all(&data).unwrap();
-        for (i, xi) in x.iter().enumerate() {
-            let p = runner.potential_of(xi, &x).unwrap();
-            assert_eq!(p.to_bits(), field[i].to_bits(), "row {i}");
+        for data in [small, large] {
+            let field = runner.initial_potentials(&data).unwrap();
+            let scaler = UnitScaler::fit(&data).unwrap();
+            let x = scaler.transform_all(&data).unwrap();
+            assert_eq!(field.len(), x.len());
+            for (i, xi) in x.iter().enumerate() {
+                let p = runner.potential_of(xi, &x).unwrap();
+                assert_eq!(p.to_bits(), field[i].to_bits(), "row {i} of {}", x.len());
+            }
         }
     }
 

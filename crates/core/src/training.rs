@@ -17,7 +17,7 @@
 // lint: allow(PANIC_IN_LIB, file) -- training folds index datasets whose shape was validated upstream
 
 use cqm_anfis::dataset::Dataset;
-use cqm_anfis::genfis::{genfis_with, GenfisParams};
+use cqm_anfis::genfis::{genfis_structure, StructureParams};
 use cqm_anfis::hybrid::{train_hybrid_with, HybridConfig, TrainReport};
 use cqm_parallel::WorkerPool;
 use cqm_stats::mle::QualityGroups;
@@ -32,8 +32,9 @@ use crate::{CqmError, Result};
 /// Configuration of the CQM training pipeline.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CqmTrainingConfig {
-    /// Structure identification + initial consequent fit.
-    pub genfis: GenfisParams,
+    /// Structure identification; hybrid learning then fits the consequents
+    /// (with `hybrid.lstsq`) and tunes the premises.
+    pub structure: StructureParams,
     /// Hybrid-learning loop parameters.
     pub hybrid: HybridConfig,
     /// Fraction of the samples used for FIS training (the rest is split
@@ -55,11 +56,11 @@ impl Default for CqmTrainingConfig {
         // accept/reject ratios yields the extra rules that localize the
         // classifier's systematic error regions (tuned on the AwarePen
         // testbed; see DESIGN.md ABL notes).
-        let mut genfis = GenfisParams::with_radius(0.15);
-        genfis.clustering.accept_ratio = 0.2;
-        genfis.clustering.reject_ratio = 0.03;
+        let mut structure = StructureParams::with_radius(0.15);
+        structure.clustering.accept_ratio = 0.2;
+        structure.clustering.reject_ratio = 0.03;
         CqmTrainingConfig {
-            genfis,
+            structure,
             hybrid: HybridConfig {
                 epochs: 40,
                 ..HybridConfig::default()
@@ -174,11 +175,10 @@ pub fn train_cqm(
     train_cqm_with(classifier, cues, truth, config, &WorkerPool::serial())
 }
 
-/// [`train_cqm`] on a worker pool: subtractive clustering, the ANFIS hybrid
-/// loop and the analysis-set evaluation all run on `pool` with deterministic
-/// chunking, so the trained measure, threshold and probabilities are
-/// bit-identical at any thread count (including the serial pool used by
-/// [`train_cqm`]).
+/// [`train_cqm`] on a worker pool: the ANFIS hybrid loop runs on `pool`
+/// with deterministic chunking, so the trained measure, threshold and
+/// probabilities are bit-identical at any thread count (including the
+/// serial pool used by [`train_cqm`]).
 ///
 /// # Errors
 ///
@@ -258,7 +258,8 @@ pub fn train_cqm_with(
     let check_set = strip(&check_part)?;
 
     // 3. Automated FIS construction + hybrid learning with early stopping.
-    let mut fis = genfis_with(&train_set, &config.genfis, pool)?;
+    // Structure only: hybrid epoch 0 fits the consequents from the premises.
+    let mut fis = genfis_structure(&train_set, &config.structure)?;
     let report = train_hybrid_with(&mut fis, &train_set, Some(&check_set), &config.hybrid, pool)?;
     let measure = QualityMeasure::new(fis)?;
 

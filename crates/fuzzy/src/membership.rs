@@ -67,8 +67,18 @@ impl MembershipFunction {
     /// backward pass.
     // lint: allow(ASSERT_DENSITY) -- gradients are defined for all real x; eval guards NaN in debug builds
     pub fn gaussian_grad(&self, x: f64) -> (f64, f64) {
+        self.gaussian_grad_given(x, self.eval(x))
+    }
+
+    /// [`gaussian_grad`](Self::gaussian_grad) for a caller that already
+    /// holds the degree `f = self.eval(x)`: the same arithmetic without
+    /// evaluating the exponential again.
+    pub fn gaussian_grad_given(&self, x: f64, f: f64) -> (f64, f64) {
+        debug_assert!(
+            (0.0..=1.0).contains(&f),
+            "gaussian_grad_given: degree {f} outside [0, 1]"
+        );
         let MembershipFunction::Gaussian { mu, sigma } = *self;
-        let f = self.eval(x);
         let d = x - mu;
         let dmu = f * d / (sigma * sigma);
         let dsigma = f * d * d / (sigma * sigma * sigma);

@@ -12,7 +12,9 @@
 //! layout changes no arithmetic: pairs are visited p ascending, then
 //! q > p ascending, every sum runs over `i = 0..m` in order, and no
 //! operation is fused or re-associated, so the factors have the bits a
-//! row-major sweep gives (DESIGN.md §9, "Training path").
+//! row-major sweep gives (DESIGN.md §9, "Training path"). A pair whose two
+//! columns have not turned since it last tested converged is not tested
+//! again: the test would read the same bits and reach the same verdict.
 
 // lint: allow(PANIC_IN_LIB, file) -- dense linear-algebra kernel: dimensions are checked once at entry
 
@@ -84,11 +86,25 @@ impl Svd {
         // each other cycles forever on rank-deficient inputs.
         let scale2: f64 = a.as_slice().iter().map(|x| x * x).sum();
         let dead = 1e-26 * scale2;
+        // A pair's test reads only its two columns of U, so a pair that
+        // tested converged stays converged until one of them is rotated.
+        // `rotated_at[j]` is the rotation count after column j last turned;
+        // `clean_after[p * n + q]` is one past the count at which pair
+        // (p, q) last tested converged (0: never). Skipping a clean pair
+        // skips only a test whose outcome is already known, so the factors
+        // keep every bit.
+        let mut rotations_done = 0usize;
+        let mut rotated_at = vec![0usize; n];
+        let mut clean_after = vec![0usize; n * n];
         let mut converged = false;
         for _ in 0..MAX_SWEEPS {
-            let mut rotations = 0usize;
+            let sweep_start = rotations_done;
             for p in 0..n {
                 for q in (p + 1)..n {
+                    let clean = clean_after[p * n + q];
+                    if rotated_at[p] < clean && rotated_at[q] < clean {
+                        continue;
+                    }
                     // Gram entries over columns p and q.
                     let mut app = 0.0;
                     let mut aqq = 0.0;
@@ -102,9 +118,12 @@ impl Svd {
                         || aqq <= dead
                         || apq.abs() <= tol * (app * aqq).sqrt().max(f64::MIN_POSITIVE)
                     {
+                        clean_after[p * n + q] = rotations_done + 1;
                         continue;
                     }
-                    rotations += 1;
+                    rotations_done += 1;
+                    rotated_at[p] = rotations_done;
+                    rotated_at[q] = rotations_done;
                     // Jacobi rotation that annihilates the (p,q) Gram entry.
                     let tau = (aqq - app) / (2.0 * apq);
                     let t = tau.signum() / (tau.abs() + (1.0 + tau * tau).sqrt());
@@ -114,7 +133,7 @@ impl Svd {
                     rotate(&mut v, n, p, q, c, s);
                 }
             }
-            if rotations == 0 {
+            if rotations_done == sweep_start {
                 converged = true;
                 break;
             }
@@ -363,8 +382,9 @@ mod tests {
         ));
     }
 
-    /// The 12×5 matrix of a fixed LCG stream in `[-1, 1)`.
-    fn lcg_matrix() -> Matrix {
+    /// A `rows`×`cols` matrix filled row by row from a fixed LCG stream in
+    /// `[-1, 1)`.
+    fn lcg_matrix(rows: usize, cols: usize) -> Matrix {
         // Deterministic pseudo-random fill (LCG) — avoids dev-dependency use
         // inside the unit test while still covering a "generic" matrix.
         let mut state = 0x2545F4914F6CDD1Du64;
@@ -374,9 +394,9 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
         };
-        let mut a = Matrix::zeros(12, 5);
-        for i in 0..12 {
-            for j in 0..5 {
+        let mut a = Matrix::zeros(rows, cols);
+        for i in 0..rows {
+            for j in 0..cols {
                 a[(i, j)] = next();
             }
         }
@@ -402,7 +422,7 @@ mod tests {
     fn factor_bits_are_pinned() {
         // Recorded with a row-major sweep: the sweep's memory layout must
         // not move a single bit.
-        let generic = Svd::new(&lcg_matrix()).unwrap();
+        let generic = Svd::new(&lcg_matrix(12, 5)).unwrap();
         assert_eq!(
             fingerprint(&generic),
             0x51fd_a96f_e5b7_927e,
@@ -415,11 +435,24 @@ mod tests {
             0xeef9_67a6_dcd6_fc07,
             "rank-deficient 3x2 matrix"
         );
+        // Recorded before converged pairs were skipped: column 7 repeats
+        // column 2, so later sweeps meet pairs whose columns have not
+        // turned since they last tested converged (31 of 196 pair tests).
+        let mut tall = lcg_matrix(40, 8);
+        for i in 0..40 {
+            tall[(i, 7)] = tall[(i, 2)];
+        }
+        let revisiting = Svd::new(&tall).unwrap();
+        assert_eq!(
+            fingerprint(&revisiting),
+            0xb292_55b7_5fe7_849f,
+            "40x8 LCG matrix with a repeated column"
+        );
     }
 
     #[test]
     fn random_reconstruction_accuracy() {
-        let a = lcg_matrix();
+        let a = lcg_matrix(12, 5);
         let (m, n) = (a.rows(), a.cols());
         let svd = Svd::new(&a).unwrap();
         let r = svd.reconstruct();

@@ -39,7 +39,7 @@ echo "==> cargo fmt --check (crates held rustfmt-clean)"
 # drift, so a later `cargo fmt` run cannot mix reformatting into a change.
 cargo fmt -p cqm-persist -p cqm-serve -p cqm-fuzzy -p cqm-math -p cqm-core \
     -p cqm-cluster -p cqm-anfis -p cqm-classify -p cqm-parallel -p cqm-bench \
-    -- --check
+    -p cqm-adapt -- --check
 
 echo "==> cargo clippy -D warnings (crates held clippy-clean)"
 # The workspace [lints.clippy] table (float_cmp, unwrap_used) is enforced
@@ -47,12 +47,20 @@ echo "==> cargo clippy -D warnings (crates held clippy-clean)"
 # list must stay clean, with no #[allow] added to get there.
 cargo clippy -q -p cqm-fuzzy -p cqm-serve -p cqm-parallel -p cqm-persist \
     -p cqm-resilience -p cqm-classify -p cqm-math -p cqm-core -p cqm-cluster \
-    -p cqm-anfis -p cqm-bench --all-targets --no-deps -- -D warnings
+    -p cqm-anfis -p cqm-bench -p cqm-adapt --all-targets --no-deps -- -D warnings
 
 echo "==> cargo test"
 # The debug test profile also arms every debug_assert! domain guard in the
 # numeric crates (DESIGN.md section 6).
 cargo test -q --workspace
+
+echo "==> experiment outputs (stdout of the twelve experiment binaries, release)"
+# Each experiment prints its tables on stdout and its timings on stderr, so
+# stdout is fixed bytes; the test compares an FNV-1a digest of each with the
+# recorded value, so a training change that moves any printed number fails
+# here. It is #[ignore]d in the debug leg above, where the experiments take
+# minutes (crates/bench/tests/experiment_outputs.rs).
+cargo test -q --release -p cqm-bench --test experiment_outputs -- --ignored
 
 echo "==> chaos suite (fault injection & degradation)"
 cargo test -q --test chaos
